@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/fingerprint.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
 #include "obs/stats_registry.hpp"
@@ -263,6 +264,68 @@ TEST(ObsTrace, ChromeExportWellFormedWithSpansAndChains) {
   const uint64_t cmd = CorrOfFirst(text, "create_meeting.sent");
   ASSERT_NE(cmd, 0u);
   EXPECT_TRUE(HasEventWithCorr(text, "create_meeting.applied", cmd));
+}
+
+// A lossy cascaded drill: command drops, reliable retransmissions and
+// lost east-west handshakes all fire, so its trace exercises every branch
+// of the conduit's send paths. It hits the known loss starvation, so it is
+// driven with RunUntil (Run() would dump the flight recorder).
+ScenarioSpec LossyTraceSpec() {
+  ScenarioSpec spec = ScenarioSpec::Uniform("trace-lossy", 1, 4, 6.0, 3);
+  spec.WithBackend(testbed::BackendChoice::Fleet(4, 2))
+      .WithControlPlane(0.002, 0.2)
+      .WithPlacementPolicy(core::PlacementPolicyConfig::Cascade(1))
+      .WithTrace();
+  return spec;
+}
+
+// Trace text is part of the observable contract: pinning its digest
+// catches a refactor of a traced path that reorders, renames or drops an
+// event, which two runs of the same build cannot.
+TEST(ObsTrace, TraceTextPinned) {
+  ScenarioRunner fed(FederatedFailureSpec());
+  fed.Run();
+  ASSERT_NE(fed.trace(), nullptr);
+  EXPECT_EQ(ScenarioFingerprint::Hex(
+                ScenarioFingerprint::Fold(fed.trace()->ToText())),
+            "0xa53b47f44289c473");
+
+  ScenarioRunner lossy(LossyTraceSpec());
+  lossy.RunUntil(6.0);
+  ASSERT_NE(lossy.trace(), nullptr);
+  const std::string text = lossy.trace()->ToText();
+  EXPECT_EQ(ScenarioFingerprint::Hex(ScenarioFingerprint::Fold(text)),
+            "0x42478563298df2d1");
+
+  // Every traced branch appears: a first-send drop, a southbound
+  // retransmission that is itself dropped, and retransmitted east-west
+  // handshakes and announcements.
+  EXPECT_NE(text.find("add_participant.dropped"), std::string::npos);
+  bool sw_retx_dropped = false;
+  std::istringstream in(text);
+  std::string line;
+  std::vector<std::string> retx_corrs;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::string t, category, track, event, corr;
+    fields >> t >> category >> track >> event >> corr;
+    if (track.rfind("sw:", 0) != 0) continue;
+    if (event.size() > 5 && event.compare(event.size() - 5, 5, ".retx") == 0) {
+      retx_corrs.push_back(track + " " + event.substr(0, event.size() - 5) +
+                           " " + corr);
+    } else if (event.size() > 8 &&
+               event.compare(event.size() - 8, 8, ".dropped") == 0) {
+      const std::string key =
+          track + " " + event.substr(0, event.size() - 8) + " " + corr;
+      if (std::find(retx_corrs.begin(), retx_corrs.end(), key) !=
+          retx_corrs.end()) {
+        sw_retx_dropped = true;
+      }
+    }
+  }
+  EXPECT_TRUE(sw_retx_dropped) << "no sw: .retx followed by .dropped";
+  EXPECT_NE(text.find("border_request.retx"), std::string::npos);
+  EXPECT_NE(text.find("announce.retx"), std::string::npos);
 }
 
 TEST(ObsTrace, ValidatorRejectsMalformedJson) {
