@@ -88,7 +88,8 @@ class MessageConduit {
   // Delivers (or schedules, or drops) one fire-and-forget message.
   // `name`, when tracing is enabled, labels the message's trace events
   // ("<name>.sent" / ".dropped" / ".applied"); nullptr leaves the message
-  // untraced (e.g. telemetry heartbeats).
+  // untraced (e.g. telemetry heartbeats). Names are held until delivery,
+  // so they must be string literals.
   void Send(ConduitStats& stats, std::function<void()> deliver,
             const char* name = nullptr);
   // Acknowledged send: the receiver acks a delivered message (the ack
@@ -111,8 +112,9 @@ class MessageConduit {
 
   // Enables structured tracing of named messages on this conduit. The
   // track labels the conduit's lane in the exported timeline ("sw:<i>"
-  // southbound, "ew:<a>-<b>" east-west). Tracing never changes RNG draws
-  // or scheduling: the untraced path is byte-identical to pre-trace code.
+  // southbound, "ew:<a>-<b>" east-west). Each send path has one body;
+  // tracing only adds null-checked notes, so it never changes RNG draws,
+  // counters or scheduling.
   void set_trace(obs::TraceLog* trace, std::string track,
                  obs::Category category) {
     trace_ = trace;
@@ -132,6 +134,17 @@ class MessageConduit {
   static constexpr util::DurationUs kRetransmitMargin = util::Millis(20);
 
  private:
+  // Starts a message's trace chain: emits "<name>.sent" and returns its
+  // correlation id, or 0 when the conduit or the message is untraced.
+  uint64_t OpenTrace(const char* name);
+  // Emits "<name><phase>" on chain `corr`; a no-op for corr 0.
+  void Note(const char* name, const char* phase, uint64_t corr);
+  // One iid loss draw; none on a lossless conduit.
+  bool Lost();
+  // Counts and runs `fn` now (latency <= 0) or after the latency.
+  void Deliver(ConduitStats& stats, std::function<void()> fn,
+               const char* name, uint64_t corr);
+
   sim::Scheduler& sched_;
   util::DurationUs latency_;
   double loss_rate_;

@@ -10,6 +10,7 @@
 namespace scallop::harness {
 
 ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
+  ValidateSpec(spec_);
   testbed::TestbedConfig base = spec_.base;
   base.seed = spec_.seed;
   base.control.latency = util::Seconds(spec_.control_latency_s);
@@ -19,102 +20,6 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
       util::Seconds(spec_.control_load_report_s);
   base.placement = spec_.placement_policy;
   base.inter_switch_links = spec_.inter_switch_links;
-  if (spec_.backend.kind == testbed::BackendChoice::Kind::kFleet &&
-      (spec_.backend.fleet_regions < 1 ||
-       spec_.backend.fleet_regions > spec_.backend.fleet_switches)) {
-    throw std::invalid_argument(
-        "ScenarioSpec '" + spec_.name + "': fleet{" +
-        std::to_string(spec_.backend.fleet_switches) + "," +
-        std::to_string(spec_.backend.fleet_regions) +
-        "} needs 1 <= regions <= switches — every region must own at "
-        "least one switch");
-  }
-  if ((!spec_.inter_switch_links.empty() ||
-       !spec_.topology_events.empty()) &&
-      spec_.backend.kind != testbed::BackendChoice::Kind::kFleet) {
-    throw std::invalid_argument(
-        "ScenarioSpec '" + spec_.name +
-        "': inter-switch links model a fleet backbone — pick a fleet "
-        "backend");
-  }
-  for (const auto& l : spec_.inter_switch_links) {
-    if (static_cast<int>(l.a) >= spec_.backend.fleet_switches ||
-        static_cast<int>(l.b) >= spec_.backend.fleet_switches) {
-      throw std::out_of_range(
-          "ScenarioSpec '" + spec_.name + "' inter-switch link (" +
-          std::to_string(l.a) + ", " + std::to_string(l.b) +
-          ") names a switch outside the fleet");
-    }
-  }
-  // A topology event may only reshape a declared link: the controller
-  // must never learn of a backbone path no sim link backs (and a typo'd
-  // pair failing silently would make the capacity drill test nothing).
-  for (const TopologyEvent& ev : spec_.topology_events) {
-    const bool declared = std::any_of(
-        spec_.inter_switch_links.begin(), spec_.inter_switch_links.end(),
-        [&](const core::InterSwitchLinkSpec& l) {
-          return (static_cast<int>(l.a) == ev.a &&
-                  static_cast<int>(l.b) == ev.b) ||
-                 (static_cast<int>(l.a) == ev.b &&
-                  static_cast<int>(l.b) == ev.a);
-        });
-    if (!declared) {
-      throw std::out_of_range(
-          "ScenarioSpec '" + spec_.name + "' topology event at " +
-          std::to_string(ev.at_s) + "s reshapes link (" +
-          std::to_string(ev.a) + ", " + std::to_string(ev.b) +
-          "), which WithInterSwitchLink never declared");
-    }
-  }
-  // A correlated failure may only cut declared backbone links — same
-  // contract as single-link topology events: the fleet cannot lose a link
-  // it never had, and a typo'd pair failing silently would cut less than
-  // the scenario claims.
-  for (const CorrelatedFailureEvent& ev : spec_.correlated_failures) {
-    if (ev.links.empty()) {
-      throw std::invalid_argument(
-          "ScenarioSpec '" + spec_.name + "' correlated failure at " +
-          std::to_string(ev.at_s) + "s cuts no links");
-    }
-    for (const auto& [a, b] : ev.links) {
-      const bool declared = std::any_of(
-          spec_.inter_switch_links.begin(), spec_.inter_switch_links.end(),
-          [a = a, b = b](const core::InterSwitchLinkSpec& l) {
-            return (static_cast<int>(l.a) == a && static_cast<int>(l.b) == b) ||
-                   (static_cast<int>(l.a) == b && static_cast<int>(l.b) == a);
-          });
-      if (!declared) {
-        throw std::out_of_range(
-            "ScenarioSpec '" + spec_.name + "' correlated failure at " +
-            std::to_string(ev.at_s) + "s cuts link (" + std::to_string(a) +
-            ", " + std::to_string(b) +
-            "), which WithInterSwitchLink never declared");
-      }
-    }
-  }
-
-  // Heterogeneous capacities shape fleet load accounting; on any other
-  // backend they would silently do nothing.
-  if (!spec_.switch_capacities.empty() &&
-      spec_.backend.kind != testbed::BackendChoice::Kind::kFleet) {
-    throw std::invalid_argument(
-        "ScenarioSpec '" + spec_.name +
-        "': switch capacity classes shape fleet load accounting — pick a "
-        "fleet backend");
-  }
-  for (const auto& [sw, cls] : spec_.switch_capacities) {
-    if (sw < 0 || sw >= spec_.backend.fleet_switches) {
-      throw std::out_of_range(
-          "ScenarioSpec '" + spec_.name + "': switch capacity for switch " +
-          std::to_string(sw) + " is outside fleet{" +
-          std::to_string(spec_.backend.fleet_switches) + "}");
-    }
-    if (cls <= 0.0) {
-      throw std::invalid_argument(
-          "ScenarioSpec '" + spec_.name + "': switch " + std::to_string(sw) +
-          " needs a positive capacity class");
-    }
-  }
   if (!spec_.switch_capacities.empty()) {
     base.switch_capacity_classes.assign(
         static_cast<size_t>(spec_.backend.fleet_switches), 1.0);
@@ -122,93 +27,10 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
       base.switch_capacity_classes[static_cast<size_t>(sw)] = cls;
     }
   }
-
-  // Roams and region-pinned meetings only mean anything when there are
-  // regions to roam between — validated like WithControllerFailure.
-  const bool federated =
-      spec_.backend.kind == testbed::BackendChoice::Kind::kFleet &&
-      spec_.backend.fleet_regions >= 2;
-  for (size_t mi = 0; mi < spec_.meetings.size(); ++mi) {
-    const int region = spec_.meetings[mi].region;
-    if (region < 0) continue;
-    if (!federated) {
-      throw std::invalid_argument(
-          "ScenarioSpec '" + spec_.name + "': meeting " + std::to_string(mi) +
-          " pins region " + std::to_string(region) +
-          " but the backend is not a federated fleet{N,R>=2}");
-    }
-    if (region >= spec_.backend.fleet_regions) {
-      throw std::out_of_range(
-          "ScenarioSpec '" + spec_.name + "': meeting " + std::to_string(mi) +
-          " pins region " + std::to_string(region) + ", outside fleet{" +
-          std::to_string(spec_.backend.fleet_switches) + "," +
-          std::to_string(spec_.backend.fleet_regions) + "}");
-    }
-  }
-  for (const RoamEvent& ev : spec_.roams) {
-    if (!federated) {
-      throw std::invalid_argument(
-          "ScenarioSpec '" + spec_.name +
-          "': a roam re-homes a participant onto another region's ingress "
-          "— it needs a federated fleet{N,R>=2} backend");
-    }
-    if (ev.new_region < 0 || ev.new_region >= spec_.backend.fleet_regions) {
-      throw std::out_of_range(
-          "ScenarioSpec '" + spec_.name + "' roam at " +
-          std::to_string(ev.at_s) + "s targets region " +
-          std::to_string(ev.new_region) + ", outside fleet{" +
-          std::to_string(spec_.backend.fleet_switches) + "," +
-          std::to_string(spec_.backend.fleet_regions) + "}");
-    }
-    if (ev.meeting < 0 ||
-        static_cast<size_t>(ev.meeting) >= spec_.meetings.size() ||
-        ev.participant < 0 ||
-        static_cast<size_t>(ev.participant) >=
-            spec_.meetings[static_cast<size_t>(ev.meeting)]
-                .participants.size()) {
-      throw std::out_of_range(
-          "ScenarioSpec '" + spec_.name + "' roam at " +
-          std::to_string(ev.at_s) + "s targets (meeting=" +
-          std::to_string(ev.meeting) + ", participant=" +
-          std::to_string(ev.participant) + ") outside the spec grid");
-    }
-    if (ev.at_s >= spec_.duration_s) {
-      throw std::invalid_argument(
-          "ScenarioSpec '" + spec_.name + "' roam at " +
-          std::to_string(ev.at_s) +
-          "s falls after the scenario ends — it would test nothing");
-    }
-  }
-
   if (spec_.rebalance_interval_s > 0.0) {
     base.rebalance.enabled = true;
     base.rebalance.interval = util::Seconds(spec_.rebalance_interval_s);
     base.rebalance.imbalance_threshold = spec_.rebalance_threshold;
-  }
-
-  // Redundant trees plan standby chains over link-disjoint backbone
-  // paths and hitless migration re-roots inter-switch span trees — both
-  // are fleet-controller moves; on any other backend they would silently
-  // protect nothing.
-  if ((spec_.redundant_trees || spec_.hitless_migration) &&
-      spec_.backend.kind != testbed::BackendChoice::Kind::kFleet) {
-    throw std::invalid_argument(
-        "ScenarioSpec '" + spec_.name +
-        "': redundant trees / hitless migration re-plan inter-switch "
-        "relays — pick a fleet backend");
-  }
-  if (spec_.redundant_trees && spec_.inter_switch_links.empty()) {
-    throw std::invalid_argument(
-        "ScenarioSpec '" + spec_.name +
-        "': redundant trees need a declared backbone to plan link-"
-        "disjoint paths over — the implicit full mesh has no links to be "
-        "disjoint from (WithInterSwitchLink)");
-  }
-  if (spec_.redundant_trees && spec_.redundancy_dedup_window <= 0) {
-    throw std::invalid_argument(
-        "ScenarioSpec '" + spec_.name +
-        "': the dedup window must be positive — merge switches cannot "
-        "eliminate duplicates they are not allowed to remember");
   }
   base.redundancy.redundant_trees = spec_.redundant_trees;
   base.redundancy.dedup_window = spec_.redundancy_dedup_window;
@@ -252,89 +74,6 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
       slot.profile = ps.link.name;
       slot.spec = ps;
       slots_.push_back(std::move(slot));
-    }
-  }
-
-  // Fail fast on malformed link events: the fluent spec helpers validate
-  // their indices at build time, but LinkEvent is aggregate-initialized,
-  // so a typo'd index would otherwise surface as an uncaught
-  // std::out_of_range deep inside a scheduled lambda mid-run.
-  for (size_t i = 0; i < spec_.link_events.size(); ++i) {
-    const LinkEvent& ev = spec_.link_events[i];
-    if (ev.meeting < 0 ||
-        static_cast<size_t>(ev.meeting) >= spec_.meetings.size() ||
-        ev.participant < 0 ||
-        static_cast<size_t>(ev.participant) >=
-            spec_.meetings[static_cast<size_t>(ev.meeting)]
-                .participants.size()) {
-      throw std::out_of_range(
-          "ScenarioSpec '" + spec_.name + "' link_events[" +
-          std::to_string(i) + "] targets (meeting=" +
-          std::to_string(ev.meeting) + ", participant=" +
-          std::to_string(ev.participant) + ") outside the spec grid");
-    }
-  }
-
-  // Fleet failover is driven by heartbeat loss, so the blackout must
-  // outlast worst-case detection: the last in-flight heartbeat lands
-  // `latency` after the link dies, death needs 3 more silent intervals
-  // plus `latency`, and the detector only looks every interval. A shorter
-  // blackout would revive the victim before it was ever declared dead and
-  // the drill would silently test nothing.
-  if (spec_.failover_at_s >= 0.0 &&
-      spec_.backend.kind == testbed::BackendChoice::Kind::kFleet) {
-    const double hb_s = util::ToSeconds(base.control.heartbeat_interval);
-    // No heartbeats means no failure detection at all: the victim would
-    // never be declared dead and the drill would strand its peers.
-    if (hb_s <= 0.0) {
-      throw std::invalid_argument(
-          "ScenarioSpec '" + spec_.name +
-          "': a fleet failover needs a positive heartbeat interval — with "
-          "heartbeats disabled the dead switch is never detected");
-    }
-    const double detect_s = 4.0 * hb_s + 2.0 * spec_.control_latency_s;
-    if (spec_.failover_blackout_s <= detect_s) {
-      throw std::invalid_argument(
-          "ScenarioSpec '" + spec_.name + "': failover_blackout_s (" +
-          std::to_string(spec_.failover_blackout_s) +
-          ") must exceed the worst-case heartbeat-miss detection time (" +
-          std::to_string(detect_s) +
-          " s = 4 heartbeat intervals + 2 x control latency)");
-    }
-  }
-
-  // A controller failure drill only means anything on a federated fleet:
-  // it needs a peer controller to notice the death (east-west heartbeats)
-  // and adopt the shard, and enough runtime after the kill for detection.
-  if (spec_.controller_failure_at_s >= 0.0) {
-    if (spec_.backend.kind != testbed::BackendChoice::Kind::kFleet ||
-        spec_.backend.fleet_regions < 2) {
-      throw std::invalid_argument(
-          "ScenarioSpec '" + spec_.name +
-          "': a controller failure needs a federated fleet{N,R>=2} "
-          "backend — with one controller there is no peer to adopt its "
-          "shard");
-    }
-    if (spec_.controller_failure_region < 0 ||
-        spec_.controller_failure_region >= spec_.backend.fleet_regions) {
-      throw std::out_of_range(
-          "ScenarioSpec '" + spec_.name + "': controller failure region " +
-          std::to_string(spec_.controller_failure_region) +
-          " is outside fleet{" +
-          std::to_string(spec_.backend.fleet_switches) + "," +
-          std::to_string(spec_.backend.fleet_regions) + "}");
-    }
-    if (util::ToSeconds(base.control.heartbeat_interval) <= 0.0) {
-      throw std::invalid_argument(
-          "ScenarioSpec '" + spec_.name +
-          "': a controller failure needs a positive heartbeat interval — "
-          "peers detect the death by east-west heartbeat loss");
-    }
-    if (spec_.controller_failure_at_s >= spec_.duration_s) {
-      throw std::invalid_argument(
-          "ScenarioSpec '" + spec_.name +
-          "': controller_failure_at_s falls after the scenario ends — the "
-          "drill would test nothing");
     }
   }
 

@@ -271,4 +271,10 @@ struct ScenarioSpec {
   int TotalParticipants() const;
 };
 
+// Rejects a malformed spec before anything is wired: std::invalid_argument
+// for a knob the backend cannot honour or a drill that would test nothing,
+// std::out_of_range for an index outside the fleet, the region set, the
+// declared backbone or the spec grid. The first failed check throws.
+void ValidateSpec(const ScenarioSpec& spec);
+
 }  // namespace scallop::harness

@@ -5,6 +5,11 @@
 // byte-identical metric output.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "harness/runner.hpp"
 
 namespace scallop::harness {
@@ -88,6 +93,104 @@ TEST(ScenarioRunner, RejectsLinkEventOutsideTheGrid) {
   spec.WithLinkEvent(
       {.at_s = 1.0, .meeting = 0, .participant = 5, .rate_bps = 1e6});
   EXPECT_THROW(ScenarioRunner runner(spec), std::out_of_range);
+}
+
+// A validation message names its spec first, then the tripped check.
+void ExpectMessage(const std::string& message, const char* needle) {
+  EXPECT_EQ(message.rfind("ScenarioSpec 'validate'", 0), 0u) << message;
+  EXPECT_NE(message.find(needle), std::string::npos) << message;
+}
+
+// Spec validation throws that no other suite trips, each paired with the
+// exception type it must raise. Every mutation starts from a spec that
+// constructs cleanly, so the throw is attributable to that one mutation.
+TEST(ScenarioRunner, ValidationTable) {
+  enum class Kind { kInvalid, kRange };
+  struct Case {
+    const char* what;
+    std::function<void(ScenarioSpec&)> mutate;
+    Kind kind;
+    const char* needle;  // distinguishes the tripped check's message
+  };
+  const auto federated = [](ScenarioSpec& s) {
+    s.WithBackend(testbed::BackendChoice::Fleet(4, 2));
+  };
+  const std::vector<Case> cases = {
+      {"topology event on a single switch",
+       [](ScenarioSpec& s) { s.WithInterSwitchLinkEvent(1.0, 0, 1, 1e6); },
+       Kind::kInvalid, "pick a fleet backend"},
+      {"roam into a negative region",
+       [&](ScenarioSpec& s) {
+         federated(s);
+         s.WithRoam(0, 0, 1.0, -1);
+       },
+       Kind::kRange, "targets region -1"},
+      {"roam of a participant outside the grid",
+       [&](ScenarioSpec& s) {
+         federated(s);
+         s.roams.push_back({.at_s = 1.0, .meeting = 0, .participant = 9,
+                            .new_region = 1});
+       },
+       Kind::kRange, "participant=9) outside the spec grid"},
+      {"roam in a meeting outside the grid",
+       [&](ScenarioSpec& s) {
+         federated(s);
+         s.roams.push_back({.at_s = 1.0, .meeting = -1, .participant = 0,
+                            .new_region = 1});
+       },
+       Kind::kRange, "(meeting=-1, participant=0) outside the spec grid"},
+      {"roam after the scenario ends",
+       [&](ScenarioSpec& s) {
+         federated(s);
+         s.WithRoam(0, 0, 2.0, 1);
+       },
+       Kind::kInvalid, "falls after the scenario ends"},
+      {"link event in a meeting outside the grid",
+       [](ScenarioSpec& s) {
+         s.WithLinkEvent({.at_s = 1.0, .meeting = 3, .rate_bps = 1e6});
+       },
+       Kind::kRange, "link_events[0] targets (meeting=3"},
+      {"negative capacity class",
+       [](ScenarioSpec& s) {
+         s.WithBackend(testbed::BackendChoice::Fleet(2));
+         s.WithSwitchCapacity(1, -1.0);
+       },
+       Kind::kInvalid, "needs a positive capacity class"},
+      {"correlated failure cutting no links",
+       [](ScenarioSpec& s) {
+         s.WithBackend(testbed::BackendChoice::Fleet(2));
+         s.WithInterSwitchLink(0, 1, 0.001);
+         s.WithCorrelatedFailure(1.0, {});
+       },
+       Kind::kInvalid, "cuts no links"},
+      {"controller failure without heartbeats",
+       [&](ScenarioSpec& s) {
+         federated(s);
+         s.WithControlPlane(0.001, 0.0, /*heartbeat_s=*/0.0);
+         s.WithControllerFailure(1.0, 1);
+       },
+       Kind::kInvalid, "peers detect the death by east-west heartbeat loss"},
+  };
+  for (const Case& c : cases) {
+    ScenarioSpec spec = ScenarioSpec::Uniform("validate", 1, 2, 2.0);
+    c.mutate(spec);
+    try {
+      ScenarioRunner runner(spec);
+      ADD_FAILURE() << c.what << ": constructed without a throw";
+    } catch (const std::out_of_range& e) {
+      EXPECT_EQ(c.kind, Kind::kRange) << c.what << ": " << e.what();
+      ExpectMessage(e.what(), c.needle);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(c.kind, Kind::kInvalid) << c.what << ": " << e.what();
+      ExpectMessage(e.what(), c.needle);
+    }
+  }
+  // The unmutated base spec, and each base the mutations start from, are
+  // valid on their own.
+  EXPECT_NO_THROW(ScenarioRunner(ScenarioSpec::Uniform("validate", 1, 2, 2.0)));
+  ScenarioSpec fed = ScenarioSpec::Uniform("validate", 1, 2, 2.0);
+  federated(fed);
+  EXPECT_NO_THROW(ScenarioRunner runner(fed));
 }
 
 TEST(ScenarioRunner, FailoverDoesNotResurrectDepartedParticipants) {
