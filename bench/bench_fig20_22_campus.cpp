@@ -105,15 +105,15 @@ int main() {
   harness::ScenarioRunner runner(spec);
   const harness::ScenarioMetrics& m = runner.Run();
   std::printf("%s", m.Summary().c_str());
-  double cpu_share = m.switch_packets_in == 0
+  double cpu_share = m.counters.switch_packets_in == 0
                          ? 0.0
-                         : 100.0 * static_cast<double>(m.agent_cpu_packets) /
-                               static_cast<double>(m.switch_packets_in);
+                         : 100.0 * static_cast<double>(m.counters.agent_cpu_packets) /
+                               static_cast<double>(m.counters.switch_packets_in);
   std::printf("Agent CPU saw %lu of %lu switch packets (%.2f%%): the "
               "control plane stays tiny while the data plane replicates "
               "%lu packets.\n",
-              static_cast<unsigned long>(m.agent_cpu_packets),
-              static_cast<unsigned long>(m.switch_packets_in), cpu_share,
-              static_cast<unsigned long>(m.switch_replicas));
+              static_cast<unsigned long>(m.counters.agent_cpu_packets),
+              static_cast<unsigned long>(m.counters.switch_packets_in), cpu_share,
+              static_cast<unsigned long>(m.counters.switch_replicas));
   return 0;
 }

@@ -32,7 +32,7 @@ int main() {
   const harness::ScenarioMetrics& m = runner.Run();
   double wall = timer.Seconds();
 
-  if (m.switch_packets_in == 0 || m.WorstDeliveryFloor() < 10) {
+  if (m.counters.switch_packets_in == 0 || m.WorstDeliveryFloor() < 10) {
     std::printf("FAIL: fleet{%d} scale run delivered no media\n", switches);
     return 1;
   }

@@ -28,7 +28,7 @@ double BackendRate(const testbed::BackendChoice& choice, int meetings,
   scallop::bench::WallTimer timer;
   const harness::ScenarioMetrics& m = runner.Run();
   double wall = timer.Seconds();
-  if (m.switch_packets_in == 0 || m.WorstDeliveryFloor() < 10) {
+  if (m.counters.switch_packets_in == 0 || m.WorstDeliveryFloor() < 10) {
     std::printf("FAIL: backend %s delivered no media\n",
                 choice.Label().c_str());
     *ok = false;

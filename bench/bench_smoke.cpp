@@ -103,7 +103,7 @@ int main() {
     DumpCsv("smoke-" + choice.Label(), m);
 
     if (m.WorstDeliveryFloor() < 10 || m.RewriteViolations() != 0 ||
-        m.switch_packets_in == 0) {
+        m.counters.switch_packets_in == 0) {
       std::printf("SMOKE FAILED on backend %s\n", choice.Label().c_str());
       ok = false;
     }
@@ -128,7 +128,7 @@ int main() {
     std::printf("[fleet{3}+rebalance]\n%s", m.Summary().c_str());
     DumpCsv("smoke-rebalance", m);
     ok = DumpTrace("smoke-rebalance", runner, m) && ok;
-    if (m.placements_rebalanced == 0 || m.control.switches_failed != 0 ||
+    if (m.counters.placements_rebalanced == 0 || m.control.switches_failed != 0 ||
         m.WorstDeliveryFloor() < 10 || m.RewriteViolations() != 0) {
       std::printf("SMOKE FAILED on the rebalance scenario\n");
       ok = false;

@@ -63,9 +63,9 @@ int main() {
 
   std::printf("\nData plane: %lu seq rewrites, %lu REMBs filtered by the "
               "best-downlink rule, %lu forwarded\n",
-              static_cast<unsigned long>(m.seq_rewritten),
-              static_cast<unsigned long>(m.remb_filtered),
-              static_cast<unsigned long>(m.remb_forwarded));
+              static_cast<unsigned long>(m.counters.seq_rewritten),
+              static_cast<unsigned long>(m.counters.remb_filtered),
+              static_cast<unsigned long>(m.counters.remb_forwarded));
   const auto& rx = carol.video_receiver(alice.id())->stats();
   std::printf("Carol<-Alice: %lu frames decoded, %lu decoder breaks, "
               "%.0f ms frozen across both transitions\n",

@@ -22,32 +22,43 @@ void Row(std::string& out, const char* fmt, ...) {
   out += buf;
 }
 
+// Renders one single-row section from the registry entries keyed
+// "<section>.<column>": a header line plus a value line, or (`pairs`) one
+// inline "section,k,v,k,v" line. Nothing when the section registered no
+// keys.
+void Section(std::string& out, const obs::StatsRegistry& stats,
+             const std::string& section, bool pairs = false) {
+  const std::string prefix = section + ".";
+  std::string header = section;
+  std::string row = section;
+  for (const auto& [name, value] : stats.entries()) {
+    if (name.compare(0, prefix.size(), prefix) != 0) continue;
+    const std::string column = name.substr(prefix.size());
+    (pairs ? row : header) += "," + column;
+    row += "," + std::to_string(value);
+  }
+  if (row == section) return;
+  if (!pairs) out += header + "\n";
+  out += row + "\n";
+}
+
 }  // namespace
 
 std::string ScenarioMetrics::ToCsv() const {
+  obs::StatsRegistry stats;
+  RegisterInto(stats);
   std::string out;
   Row(out, "scenario,%s,seed,%" PRIu64 ",duration_s,%.2f\n", scenario.c_str(),
       seed, duration_s);
 
-  Row(out,
-      "aggregate,switch_in,switch_out,replicas,seq_rewritten,seq_dropped,"
-      "svc_suppressed,remb_filtered,remb_forwarded,dt_changes,filter_flips,"
-      "trees_built,migrations,cpu_packets,blackholed\n");
-  Row(out,
-      "aggregate,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-      ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-      ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 "\n",
-      switch_packets_in, switch_packets_out, switch_replicas, seq_rewritten,
-      seq_dropped, svc_suppressed, remb_filtered, remb_forwarded, dt_changes,
-      filter_flips, trees_built, tree_migrations, agent_cpu_packets,
-      blackholed);
+  Section(out, stats, "aggregate");
 
   // Multi-switch backends add a fleet section: per-switch state and the
   // meeting -> switch placement map. Single-switch runs leave `switches`
   // empty so their CSV stays byte-identical to the pre-backend-seam pin.
   if (!switches.empty()) {
     Row(out, "fleet,backend,%s,placements_rebalanced,%" PRIu64 "\n",
-        backend.c_str(), placements_rebalanced);
+        backend.c_str(), counters.placements_rebalanced);
     Row(out,
         "switch,index,alive,meetings,participants,packets_in,packets_out,"
         "replicas\n");
@@ -60,15 +71,8 @@ std::string ScenarioMetrics::ToCsv() const {
     for (const auto& m : meetings) {
       Row(out, "placement,%d,%d,%d\n", m.index, m.placement, m.spans);
     }
-    Row(out,
-        "cascade,spans_installed,spans_removed,relay_packets,relay_bytes,"
-        "relay_dt_changes\n");
-    Row(out,
-        "cascade,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        "\n",
-        cascade.spans_installed, cascade.spans_removed, cascade.relay_packets,
-        cascade.relay_bytes, cascade.relay_dt_changes);
   }
+  Section(out, stats, "cascade");
 
   // Backbone topology section: rendered only when the spec declared
   // inter-switch links, so default full-mesh fleet CSVs keep their
@@ -94,94 +98,11 @@ std::string ScenarioMetrics::ToCsv() const {
     }
   }
 
-  // Control-plane section: southbound command accounting, northbound
-  // telemetry, failure detection and rebalancer activity. Gated so the
-  // default single-switch CSV stays byte-identical to the pre-channel pin.
-  // The retransmission column only appears once a reliable command was
-  // actually resent — lossless runs (every golden pin) keep the exact
-  // pre-ack header and row bytes.
-  if (control_plane) {
-    Row(out,
-        "control,commands_sent,commands_applied,commands_dropped,"
-        "events_sent,events_delivered,events_dropped,heartbeats_seen,"
-        "heartbeats_missed,load_reports,switches_failed,"
-        "rebalance_migrations%s\n",
-        control.commands_retransmitted > 0 ? ",commands_retransmitted" : "");
-    Row(out,
-        "control,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64,
-        control.commands_sent, control.commands_applied,
-        control.commands_dropped, control.events_sent,
-        control.events_delivered, control.events_dropped,
-        control.heartbeats_seen, control.heartbeats_missed,
-        control.load_reports_seen, control.switches_failed,
-        control.rebalance_migrations);
-    if (control.commands_retransmitted > 0) {
-      Row(out, ",%" PRIu64, control.commands_retransmitted);
-    }
-    Row(out, "\n");
-  }
-
-  // Federation section: the east-west controller-to-controller plane.
-  // Gated on a federated backend (fleet{N,R>1}) so every single-region
-  // fleet golden keeps its exact bytes.
-  if (federation.configured) {
-    Row(out,
-        "federation,regions,east_west_sent,east_west_delivered,"
-        "east_west_dropped,east_west_retransmitted,directory_lookups,"
-        "remote_lookups,announcements,border_spans,controller_heartbeats,"
-        "controller_misses,controllers_failed,shards_adopted,"
-        "meetings_adopted\n");
-    Row(out,
-        "federation,%d,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 "\n",
-        federation.regions, federation.messages_sent,
-        federation.messages_delivered, federation.messages_dropped,
-        federation.messages_retransmitted, federation.directory_lookups,
-        federation.directory_lookups_remote,
-        federation.directory_announcements, federation.border_spans,
-        federation.controller_heartbeats_seen,
-        federation.controller_heartbeats_missed,
-        federation.controllers_failed, federation.shards_adopted,
-        federation.meetings_adopted);
-  }
-
-  // Workload section (roaming): gated on the spec actually roaming
-  // someone, so roam-free scenarios keep their golden bytes.
-  if (workload) {
-    Row(out,
-        "workload,roams_executed,%" PRIu64 ",roam_rehomings,%" PRIu64 "\n",
-        roams_executed, roam_rehomings);
-  }
-
-  // Redundancy section: gated on the spec configuring dual trees or
-  // hitless migration, so every unprotected scenario keeps its golden
-  // bytes.
-  if (redundancy.configured) {
-    Row(out,
-        "redundancy,secondary_trees_installed,secondary_trees_removed,"
-        "tree_flips,relay_sources,relay_promotions,redundant_relayed,"
-        "duplicates_eliminated,hitless_migrations,hitless_moves_measured,"
-        "hitless_frames_lost\n");
-    Row(out,
-        "redundancy,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 "\n",
-        redundancy.secondary_trees_installed,
-        redundancy.secondary_trees_removed, redundancy.tree_flips,
-        redundancy.relay_sources, redundancy.relay_promotions,
-        redundancy.redundant_relayed, redundancy.duplicates_eliminated,
-        redundancy.hitless_migrations, hitless_moves_measured,
-        hitless_frames_lost);
-  }
-
-  // Observability section: gated on the spec enabling tracing, so every
-  // untraced scenario keeps its golden bytes.
-  if (trace_configured) {
-    Row(out, "obs,trace_events,%" PRIu64 ",trace_evicted,%" PRIu64 "\n",
-        trace_events, trace_evicted);
-  }
+  Section(out, stats, "control");
+  Section(out, stats, "federation");
+  Section(out, stats, "workload", /*pairs=*/true);
+  Section(out, stats, "redundancy");
+  Section(out, stats, "obs", /*pairs=*/true);
 
   Row(out, "meeting,index,id,final_design,participants_at_end\n");
   for (const auto& m : meetings) {
@@ -244,161 +165,127 @@ std::string ScenarioMetrics::Summary() const {
       scenario.c_str(), backend.empty() ? "?" : backend.c_str(), seed,
       duration_s, peers.size(), streams.size(), decoded, WorstDeliveryFloor(),
       RewriteViolations(), freeze);
-  Row(out,
-      "    switch: %" PRIu64 " in / %" PRIu64 " out, %" PRIu64
-      " seq rewrites, %" PRIu64 " SVC drops; agent: %" PRIu64
-      " adaptations, %" PRIu64 " filter flips, %" PRIu64 " migrations\n",
-      switch_packets_in, switch_packets_out, seq_rewritten, svc_suppressed,
-      dt_changes, filter_flips, tree_migrations);
-  if (!switches.empty()) {
-    Row(out, "    fleet (%s): %zu switches, %" PRIu64
-             " meetings rebalanced; load:",
-        backend.c_str(), switches.size(), placements_rebalanced);
-    for (const auto& s : switches) {
-      Row(out, " s%d=%d%s", s.index, s.participants, s.alive ? "" : "(down)");
+  obs::StatsRegistry stats;
+  RegisterInto(stats);
+  std::string prefix;
+  for (const auto& [name, value] : stats.entries()) {
+    const size_t dot = name.find('.');
+    if (name.substr(0, dot) != prefix) {
+      if (!prefix.empty()) out += "\n";
+      prefix = name.substr(0, dot);
+      out += "    " + prefix + ":";
     }
-    Row(out, "\n");
+    out += " " + name.substr(dot + 1) + "=" + std::to_string(value);
   }
-  if (control_plane) {
-    Row(out,
-        "    control: %" PRIu64 " commands (%" PRIu64 " dropped), %" PRIu64
-        " heartbeats (%" PRIu64 " missed), %" PRIu64 " load reports, %" PRIu64
-        " switch failures, %" PRIu64 " rebalance moves\n",
-        control.commands_sent, control.commands_dropped,
-        control.heartbeats_seen, control.heartbeats_missed,
-        control.load_reports_seen, control.switches_failed,
-        control.rebalance_migrations);
-  }
-  if (federation.configured) {
-    Row(out,
-        "    federation: %d regions, %" PRIu64 " east-west messages (%" PRIu64
-        " dropped, %" PRIu64 " retransmitted), %" PRIu64 " lookups (%" PRIu64
-        " remote), %" PRIu64 " border spans, %" PRIu64
-        " controller failures, %" PRIu64 " shards adopted (%" PRIu64
-        " meetings)\n",
-        federation.regions, federation.messages_sent,
-        federation.messages_dropped, federation.messages_retransmitted,
-        federation.directory_lookups, federation.directory_lookups_remote,
-        federation.border_spans, federation.controllers_failed,
-        federation.shards_adopted, federation.meetings_adopted);
-  }
-  if (workload) {
-    Row(out,
-        "    workload: %" PRIu64 " roams executed, %" PRIu64
-        " re-homed onto their new region\n",
-        roams_executed, roam_rehomings);
-  }
-  if (redundancy.configured) {
-    Row(out,
-        "    redundancy: %" PRIu64 " secondary trees installed (%" PRIu64
-        " removed), %" PRIu64 " flips, %" PRIu64
-        " duplicates eliminated of %" PRIu64 " redundant packets; %" PRIu64
-        " hitless moves (%" PRIu64 " audited, %" PRIu64 " frames lost)\n",
-        redundancy.secondary_trees_installed,
-        redundancy.secondary_trees_removed, redundancy.tree_flips,
-        redundancy.duplicates_eliminated, redundancy.redundant_relayed,
-        redundancy.hitless_migrations, hitless_moves_measured,
-        hitless_frames_lost);
-  }
-  if (cascade.spans_installed > 0) {
-    Row(out,
-        "    cascade: %" PRIu64 " spans installed (%" PRIu64
-        " removed), %" PRIu64 " relay packets / %" PRIu64
-        " bytes across switches, %" PRIu64 " cross-switch DT switches\n",
-        cascade.spans_installed, cascade.spans_removed, cascade.relay_packets,
-        cascade.relay_bytes, cascade.relay_dt_changes);
-  }
-  if (topology.configured) {
-    uint64_t backbone_bytes = 0;
-    for (const auto& l : topology.links) backbone_bytes += l.relay_bytes;
-    Row(out,
-        "    topology: %zu backbone links, %" PRIu64
-        " relay bytes on the backbone, max link utilization %.1f%%, tree "
-        "depth max %zu, %" PRIu64 " overload re-plans\n",
-        topology.links.size(), backbone_bytes,
-        topology.max_utilization * 100.0, topology.max_depth,
-        topology.relay_replans);
-  }
-  if (trace_configured) {
-    Row(out,
-        "    trace: %" PRIu64 " events emitted, %" PRIu64
-        " evicted by the flight-recorder ring\n",
-        trace_events, trace_evicted);
-  }
+  if (!prefix.empty()) out += "\n";
   return out;
 }
 
 void ScenarioMetrics::RegisterInto(obs::StatsRegistry& registry) const {
-  registry.Set("aggregate.switch_packets_in", switch_packets_in);
-  registry.Set("aggregate.switch_packets_out", switch_packets_out);
-  registry.Set("aggregate.switch_replicas", switch_replicas);
-  registry.Set("aggregate.seq_rewritten", seq_rewritten);
-  registry.Set("aggregate.seq_dropped", seq_dropped);
-  registry.Set("aggregate.svc_suppressed", svc_suppressed);
-  registry.Set("aggregate.dt_changes", dt_changes);
-  registry.Set("aggregate.filter_flips", filter_flips);
-  registry.Set("aggregate.trees_built", trees_built);
-  registry.Set("aggregate.tree_migrations", tree_migrations);
-  registry.Set("aggregate.blackholed", blackholed);
-  registry.Set("aggregate.rewrite_violations", RewriteViolations());
-  registry.Set("aggregate.delivery_floor", WorstDeliveryFloor());
+  const auto set = [&registry](const char* section, const char* column,
+                               uint64_t value) {
+    registry.Set(std::string(section) + "." + column, value);
+  };
+  const testbed::BackendCounters& c = counters;
+  set("aggregate", "switch_in", c.switch_packets_in);
+  set("aggregate", "switch_out", c.switch_packets_out);
+  set("aggregate", "replicas", c.switch_replicas);
+  set("aggregate", "seq_rewritten", c.seq_rewritten);
+  set("aggregate", "seq_dropped", c.seq_dropped);
+  set("aggregate", "svc_suppressed", c.svc_suppressed);
+  set("aggregate", "remb_filtered", c.remb_filtered);
+  set("aggregate", "remb_forwarded", c.remb_forwarded);
+  set("aggregate", "dt_changes", c.dt_changes);
+  set("aggregate", "filter_flips", c.filter_flips);
+  set("aggregate", "trees_built", c.trees_built);
+  set("aggregate", "migrations", c.tree_migrations);
+  set("aggregate", "cpu_packets", c.agent_cpu_packets);
+  set("aggregate", "blackholed", blackholed);
+
+  // Multi-switch backends only; single-switch runs keep `switches` empty.
   if (!switches.empty()) {
-    registry.Set("fleet.switches", switches.size());
-    registry.Set("fleet.placements_rebalanced", placements_rebalanced);
-    registry.Set("cascade.spans_installed", cascade.spans_installed);
-    registry.Set("cascade.spans_removed", cascade.spans_removed);
-    registry.Set("cascade.relay_packets", cascade.relay_packets);
-    registry.Set("cascade.relay_bytes", cascade.relay_bytes);
+    set("fleet", "switches", switches.size());
+    set("fleet", "placements_rebalanced", c.placements_rebalanced);
+    set("cascade", "spans_installed", cascade.spans_installed);
+    set("cascade", "spans_removed", cascade.spans_removed);
+    set("cascade", "relay_packets", cascade.relay_packets);
+    set("cascade", "relay_bytes", cascade.relay_bytes);
+    set("cascade", "relay_dt_changes", cascade.relay_dt_changes);
   }
-  if (control_plane) {
-    registry.Set("control.commands_sent", control.commands_sent);
-    registry.Set("control.commands_applied", control.commands_applied);
-    registry.Set("control.commands_dropped", control.commands_dropped);
-    registry.Set("control.commands_retransmitted",
-                 control.commands_retransmitted);
-    registry.Set("control.heartbeats_seen", control.heartbeats_seen);
-    registry.Set("control.heartbeats_missed", control.heartbeats_missed);
-    registry.Set("control.switches_failed", control.switches_failed);
-    registry.Set("control.rebalance_migrations", control.rebalance_migrations);
-  }
-  if (federation.configured) {
-    registry.Set("federation.regions",
-                 static_cast<uint64_t>(federation.regions));
-    registry.Set("federation.messages_sent", federation.messages_sent);
-    registry.Set("federation.messages_dropped", federation.messages_dropped);
-    registry.Set("federation.directory_lookups",
-                 federation.directory_lookups);
-    registry.Set("federation.remote_lookups",
-                 federation.directory_lookups_remote);
-    registry.Set("federation.border_spans", federation.border_spans);
-    registry.Set("federation.controllers_failed",
-                 federation.controllers_failed);
-    registry.Set("federation.shards_adopted", federation.shards_adopted);
-    registry.Set("federation.meetings_adopted", federation.meetings_adopted);
-  }
+  // Only when the spec declared inter-switch links.
   if (topology.configured) {
-    registry.Set("topology.links", topology.links.size());
-    registry.Set("topology.max_depth", topology.max_depth);
-    registry.Set("topology.relay_replans", topology.relay_replans);
+    uint64_t backbone_bytes = 0;
+    for (const auto& l : topology.links) backbone_bytes += l.relay_bytes;
+    set("topology", "links", topology.links.size());
+    set("topology", "backbone_relay_bytes", backbone_bytes);
+    set("topology", "max_depth", topology.max_depth);
+    set("topology", "relay_replans", topology.relay_replans);
   }
+  // Southbound commands, northbound telemetry, failure detection and
+  // rebalancer activity; on multi-switch backends and whenever the spec
+  // armed the control plane. The retransmission column appears only once
+  // a reliable command was actually resent, so lossless runs keep the
+  // pre-ack bytes.
+  if (control_plane) {
+    set("control", "commands_sent", control.commands_sent);
+    set("control", "commands_applied", control.commands_applied);
+    set("control", "commands_dropped", control.commands_dropped);
+    set("control", "events_sent", control.events_sent);
+    set("control", "events_delivered", control.events_delivered);
+    set("control", "events_dropped", control.events_dropped);
+    set("control", "heartbeats_seen", control.heartbeats_seen);
+    set("control", "heartbeats_missed", control.heartbeats_missed);
+    set("control", "load_reports", control.load_reports_seen);
+    set("control", "switches_failed", control.switches_failed);
+    set("control", "rebalance_migrations", control.rebalance_migrations);
+    if (control.commands_retransmitted > 0) {
+      set("control", "commands_retransmitted", control.commands_retransmitted);
+    }
+  }
+  // The east-west controller plane of a federated fleet{N,R>1}.
+  if (federation.configured) {
+    const testbed::FederationCounters& f = federation;
+    set("federation", "regions", static_cast<uint64_t>(f.regions));
+    set("federation", "east_west_sent", f.messages_sent);
+    set("federation", "east_west_delivered", f.messages_delivered);
+    set("federation", "east_west_dropped", f.messages_dropped);
+    set("federation", "east_west_retransmitted", f.messages_retransmitted);
+    set("federation", "directory_lookups", f.directory_lookups);
+    set("federation", "remote_lookups", f.directory_lookups_remote);
+    set("federation", "announcements", f.directory_announcements);
+    set("federation", "border_spans", f.border_spans);
+    set("federation", "controller_heartbeats", f.controller_heartbeats_seen);
+    set("federation", "controller_misses", f.controller_heartbeats_missed);
+    set("federation", "controllers_failed", f.controllers_failed);
+    set("federation", "shards_adopted", f.shards_adopted);
+    set("federation", "meetings_adopted", f.meetings_adopted);
+  }
+  // Only when the spec roamed anyone.
   if (workload) {
-    registry.Set("workload.roams_executed", roams_executed);
-    registry.Set("workload.roam_rehomings", roam_rehomings);
+    set("workload", "roams_executed", roams_executed);
+    set("workload", "roam_rehomings", roam_rehomings);
   }
+  // Only when the spec configured dual trees or hitless migration.
   if (redundancy.configured) {
-    registry.Set("redundancy.secondary_trees_installed",
-                 redundancy.secondary_trees_installed);
-    registry.Set("redundancy.tree_flips", redundancy.tree_flips);
-    registry.Set("redundancy.duplicates_eliminated",
-                 redundancy.duplicates_eliminated);
-    registry.Set("redundancy.hitless_migrations",
-                 redundancy.hitless_migrations);
-    registry.Set("redundancy.hitless_frames_lost", hitless_frames_lost);
+    const testbed::RedundancyCounters& r = redundancy;
+    set("redundancy", "secondary_trees_installed", r.secondary_trees_installed);
+    set("redundancy", "secondary_trees_removed", r.secondary_trees_removed);
+    set("redundancy", "tree_flips", r.tree_flips);
+    set("redundancy", "relay_sources", r.relay_sources);
+    set("redundancy", "relay_promotions", r.relay_promotions);
+    set("redundancy", "redundant_relayed", r.redundant_relayed);
+    set("redundancy", "duplicates_eliminated", r.duplicates_eliminated);
+    set("redundancy", "hitless_migrations", r.hitless_migrations);
+    set("redundancy", "hitless_moves_measured", hitless_moves_measured);
+    set("redundancy", "hitless_frames_lost", hitless_frames_lost);
   }
+  // Only when the spec enabled WithTrace.
   if (trace_configured) {
-    registry.Set("trace.events", trace_events);
-    registry.Set("trace.evicted", trace_evicted);
+    set("obs", "trace_events", trace_events);
+    set("obs", "trace_evicted", trace_evicted);
   }
+  set("invariant", "rewrite_violations", RewriteViolations());
+  set("invariant", "delivery_floor", WorstDeliveryFloor());
 }
 
 uint64_t ScenarioMetrics::WorstDeliveryFloor() const {

@@ -95,22 +95,10 @@ struct ScenarioMetrics {
   std::vector<testbed::SwitchStatus> switches;
   std::vector<TimelineSample> timeline;
 
-  // Switch / data-plane / agent aggregates.
-  uint64_t switch_packets_in = 0;
-  uint64_t switch_packets_out = 0;
-  uint64_t switch_replicas = 0;
-  uint64_t seq_rewritten = 0;
-  uint64_t seq_dropped = 0;
-  uint64_t svc_suppressed = 0;
-  uint64_t remb_filtered = 0;
-  uint64_t remb_forwarded = 0;
-  uint64_t dt_changes = 0;  // adaptation events
-  uint64_t filter_flips = 0;
-  uint64_t trees_built = 0;
-  uint64_t tree_migrations = 0;
-  uint64_t agent_cpu_packets = 0;
-  uint64_t blackholed = 0;
-  uint64_t placements_rebalanced = 0;  // fleet meeting migrations
+  // Switch / data-plane / agent aggregates, straight from
+  // Backend::counters().
+  testbed::BackendCounters counters;
+  uint64_t blackholed = 0;  // packets the sim network had no route for
 
   // Control-plane aggregates (southbound commands, northbound telemetry,
   // failure detection, load rebalancing). Rendered as a CSV section only
@@ -161,12 +149,19 @@ struct ScenarioMetrics {
   uint64_t trace_events = 0;   // total emitted, before any ring eviction
   uint64_t trace_evicted = 0;  // dropped by the flight-recorder ring
 
-  // Byte-stable rendering: identical spec + seed => identical string.
+  // Byte-stable rendering: identical spec + seed => identical string. The
+  // single-row sections (aggregate, cascade, control, federation,
+  // workload, redundancy, obs) are rendered from RegisterInto's entries;
+  // the multi-row sections are written out here.
   std::string ToCsv() const;
-  // Human-oriented digest for benches/examples.
+  // Human-oriented digest for benches/examples: a headline line, then one
+  // "<prefix>: k=v ..." line per registry prefix.
   std::string Summary() const;
-  // Publishes every aggregate this run rendered (same gating as the CSV
-  // sections) into the unified stats registry the trace exporter embeds.
+  // The one place that names the aggregate counters. Each key is
+  // "<csv section>.<csv column>", set in CSV column order, and a gated
+  // section registers no keys at all. Derived values live under prefixes
+  // the CSV never renders (`fleet.`, `topology.`, `invariant.`). ToCsv,
+  // Summary and the Chrome trace export all read these entries.
   void RegisterInto(obs::StatsRegistry& registry) const;
 
   // Lowest min_frames_decoded over peers present at the end with at least

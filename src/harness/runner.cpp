@@ -597,21 +597,7 @@ ScenarioMetrics ScenarioRunner::Collect() const {
 
   m.timeline = timeline_;
 
-  const testbed::BackendCounters c = backend_->counters();
-  m.switch_packets_in = c.switch_packets_in;
-  m.switch_packets_out = c.switch_packets_out;
-  m.switch_replicas = c.switch_replicas;
-  m.seq_rewritten = c.seq_rewritten;
-  m.seq_dropped = c.seq_dropped;
-  m.svc_suppressed = c.svc_suppressed;
-  m.remb_filtered = c.remb_filtered;
-  m.remb_forwarded = c.remb_forwarded;
-  m.dt_changes = c.dt_changes;
-  m.filter_flips = c.filter_flips;
-  m.agent_cpu_packets = c.agent_cpu_packets;
-  m.trees_built = c.trees_built;
-  m.tree_migrations = c.tree_migrations;
-  m.placements_rebalanced = c.placements_rebalanced;
+  m.counters = backend_->counters();
   m.blackholed = backend_->network().blackholed();
   m.control = backend_->control_counters();
   m.control_plane = spec_.control_plane_configured || !m.switches.empty();

@@ -462,7 +462,7 @@ TEST(RebalanceScenario, SkewedJoinsRebalanceWithoutFailover) {
   ScenarioRunner runner(spec);
   const ScenarioMetrics& m = runner.Run();
 
-  EXPECT_GT(m.placements_rebalanced, 0u) << m.Summary() << m.ToCsv();
+  EXPECT_GT(m.counters.placements_rebalanced, 0u) << m.Summary() << m.ToCsv();
   EXPECT_GT(m.control.rebalance_migrations, 0u);
   EXPECT_EQ(m.control.switches_failed, 0u) << "no failover in this scenario";
   EXPECT_EQ(m.control.heartbeats_missed, 0u);
@@ -582,7 +582,7 @@ TEST(ControlPlaneScenario, FailoverOverlappingRebalanceLeavesVictimsAlone) {
   // meetings, the rebalancer kept working elsewhere, nobody starved and
   // rewriting stayed gap-free through both kinds of migration.
   EXPECT_EQ(m.control.switches_failed, 1u) << m.Summary();
-  EXPECT_GT(m.placements_rebalanced, 0u);
+  EXPECT_GT(m.counters.placements_rebalanced, 0u);
   EXPECT_GE(m.WorstDeliveryFloor(), 100u) << m.Summary() << m.ToCsv();
   EXPECT_EQ(m.RewriteViolations(), 0u);
 }

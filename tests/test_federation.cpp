@@ -155,7 +155,7 @@ TEST(Federation, ControllerDeathShardAdoption) {
   EXPECT_GE(m.federation.meetings_adopted, 1u);
   // Adoption re-homes each taken-over meeting to the surviving
   // controller; the fleet-wide rebalance counter carries those moves.
-  EXPECT_GE(m.placements_rebalanced, m.federation.meetings_adopted);
+  EXPECT_GE(m.counters.placements_rebalanced, m.federation.meetings_adopted);
 
   auto& fed = r.fleet().federation();
   EXPECT_FALSE(fed.RegionAlive(1));

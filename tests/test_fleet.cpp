@@ -668,7 +668,7 @@ TEST(FleetScenario, FailoverMigratesMeetingToStandby) {
   ASSERT_NE(after, SIZE_MAX);
   EXPECT_NE(after, before) << "meeting must move off the failed switch";
   EXPECT_TRUE(runner.fleet().fleet().IsAlive(before)) << "victim restarted";
-  EXPECT_GT(m.placements_rebalanced, 0u);
+  EXPECT_GT(m.counters.placements_rebalanced, 0u);
 
   // Post-failover delivery recovered: ~10 s of fresh legs on the standby,
   // nobody starves, rewriting stays gap-free.

@@ -87,10 +87,10 @@ TEST_P(ScenarioMatrix, ConstrainedDownlinkAdaptsNotCollapses) {
   ScenarioRunner runner(spec);
   const ScenarioMetrics& m = runner.Run();
   ExpectHealthy(m, 400);  // even the throttled receiver keeps >10 fps avg
-  EXPECT_GT(m.dt_changes, 0u) << "no adaptation events fired";
+  EXPECT_GT(m.counters.dt_changes, 0u) << "no adaptation events fired";
   // Layer filtering in the tree designs shows up as sequence rewriting
   // (dropped layers leave gaps the rewriter closes), not svc_suppressed.
-  EXPECT_GT(m.seq_rewritten, 500u) << "layer filter never engaged";
+  EXPECT_GT(m.counters.seq_rewritten, 500u) << "layer filter never engaged";
 }
 
 TEST_P(ScenarioMatrix, AsymmetricUplinkLimitsOnlyThatSender) {
@@ -143,7 +143,7 @@ TEST_P(ScenarioMatrix, SwitchFailoverRecovers) {
   // fresh video through the rebuilt trees.
   ExpectHealthy(m, 220);
   // The rebuild re-created replication trees.
-  EXPECT_GE(m.trees_built, 2u);
+  EXPECT_GE(m.counters.trees_built, 2u);
 }
 
 TEST_P(ScenarioMatrix, TwoMeetingsShareTheFabric) {

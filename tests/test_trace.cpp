@@ -249,7 +249,7 @@ TEST(ObsTrace, ChromeExportWellFormedWithSpansAndChains) {
   EXPECT_NE(json.find("\"region:1\""), std::string::npos);
   // The registry rides along as a metadata record.
   EXPECT_NE(json.find("\"stats\""), std::string::npos);
-  EXPECT_NE(json.find("aggregate.switch_packets_in"), std::string::npos);
+  EXPECT_NE(json.find("aggregate.switch_in"), std::string::npos);
 
   // The causal chain the drill exists for: the east-west heartbeat miss
   // that began the death carries the same correlation id through to the
