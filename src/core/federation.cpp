@@ -294,29 +294,12 @@ size_t FederatedControlPlane::ResolveOwner(size_t ingress, MeetingId meeting) {
 FederatedControlPlane::JoinResult FederatedControlPlane::Join(
     MeetingId meeting, const sdp::SessionDescription& offer,
     SignalingClient* client) {
-  if (regions_.size() == 1) {
-    return regions_[0].controller->Join(meeting, offer, client);
-  }
-  const size_t ingress = NextIngress();
-  const size_t owner = ResolveOwner(ingress, meeting);
-  if (owner == SIZE_MAX) {
-    throw std::out_of_range(
-        "federation: meeting unknown to every live region (bad id, or its "
-        "owning controller is down and its shard not yet adopted)");
-  }
-  return regions_[owner].controller->Join(meeting, offer, client);
+  return JoinVia(kAnyIngress, meeting, offer, client);
 }
 
 void FederatedControlPlane::Leave(MeetingId meeting,
                                   ParticipantId participant) {
-  if (regions_.size() == 1) {
-    regions_[0].controller->Leave(meeting, participant);
-    return;
-  }
-  const size_t ingress = NextIngress();
-  const size_t owner = ResolveOwner(ingress, meeting);
-  if (owner == SIZE_MAX) return;  // quiet, like FleetController::Leave
-  regions_[owner].controller->Leave(meeting, participant);
+  LeaveVia(kAnyIngress, meeting, participant);
 }
 
 SignalingServer& FederatedControlPlane::ingress(size_t r) {
@@ -328,22 +311,35 @@ SignalingServer& FederatedControlPlane::ingress(size_t r) {
   return *ingress_faces_[r];
 }
 
+size_t FederatedControlPlane::IngressFor(size_t r) {
+  // A pinned ingress does not advance the round-robin cursor; a dead one
+  // falls back to round-robin — the client's traffic has to land
+  // somewhere.
+  return r < regions_.size() && !regions_[r].dead ? r : NextIngress();
+}
+
 FederatedControlPlane::JoinResult FederatedControlPlane::JoinVia(
     size_t r, MeetingId meeting, const sdp::SessionDescription& offer,
     SignalingClient* client) {
   if (regions_.size() == 1) {
     return regions_[0].controller->Join(meeting, offer, client);
   }
-  // Pinned ingress — a roamer enters at its access region, not the
-  // round-robin one (and does not advance the round-robin cursor). A
-  // dead access region falls back to round-robin: the client's traffic
-  // has to land somewhere.
-  const size_t ingress = regions_[r].dead ? NextIngress() : r;
-  const size_t owner = ResolveOwner(ingress, meeting);
+  const size_t ingress = IngressFor(r);
+  size_t owner = ResolveOwner(ingress, meeting);
   if (owner == SIZE_MAX) {
-    throw std::out_of_range(
-        "federation: meeting unknown to every live region (bad id, or its "
-        "owning controller is down and its shard not yet adopted)");
+    // The owner died and east-west heartbeat loss has not declared it
+    // yet. The join cannot wait for the detector, so it hands the shard
+    // to the adopter the detector would pick, through the same path; the
+    // later detection finds it adopted and does nothing.
+    const size_t dead = OwnerRegionOf(meeting);
+    const size_t adopter = LowestLiveRegion();
+    if (dead != SIZE_MAX && regions_[dead].dead && adopter != SIZE_MAX) {
+      AdoptRegion(adopter, dead);
+      owner = ResolveOwner(ingress, meeting);
+    }
+  }
+  if (owner == SIZE_MAX) {
+    throw std::out_of_range("federation: meeting unknown to every region");
   }
   return regions_[owner].controller->Join(meeting, offer, client);
 }
@@ -354,9 +350,8 @@ void FederatedControlPlane::LeaveVia(size_t r, MeetingId meeting,
     regions_[0].controller->Leave(meeting, participant);
     return;
   }
-  const size_t ingress = regions_[r].dead ? NextIngress() : r;
-  const size_t owner = ResolveOwner(ingress, meeting);
-  if (owner == SIZE_MAX) return;
+  const size_t owner = ResolveOwner(IngressFor(r), meeting);
+  if (owner == SIZE_MAX) return;  // quiet, like FleetController::Leave
   regions_[owner].controller->Leave(meeting, participant);
 }
 

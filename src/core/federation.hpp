@@ -239,7 +239,11 @@ class FederatedControlPlane : public SignalingServer {
   // the round-robin ingress, resolving the owner east-west from there. A
   // dead ingress region falls back to round-robin. For R == 1 this is the
   // plane itself. The reference stays valid for the plane's lifetime.
+  // Join/Leave are JoinVia/LeaveVia through kAnyIngress (round-robin).
+  // A Join for a meeting whose owner died before the detector noticed
+  // adopts the dead shard on the spot.
   SignalingServer& ingress(size_t r);
+  static constexpr size_t kAnyIngress = SIZE_MAX;
   JoinResult JoinVia(size_t r, MeetingId meeting,
                      const sdp::SessionDescription& offer,
                      SignalingClient* client);
@@ -352,6 +356,8 @@ class FederatedControlPlane : public SignalingServer {
   // region has it.
   size_t ResolveOwner(size_t ingress, MeetingId meeting);
   size_t NextIngress();
+  // The ingress a Join/Leave entered through `r` resolves from.
+  size_t IngressFor(size_t r);
   size_t LowestLiveRegion() const;
   void SendControllerHeartbeats(size_t from);
   void OnControllerHeartbeat(size_t at, size_t from);

@@ -100,51 +100,30 @@ struct ScenarioMetrics {
   testbed::BackendCounters counters;
   uint64_t blackholed = 0;  // packets the sim network had no route for
 
-  // Control-plane aggregates (southbound commands, northbound telemetry,
-  // failure detection, load rebalancing). Rendered as a CSV section only
-  // when `control_plane` is set — on multi-switch backends and whenever
-  // the spec configured WithControlPlane/WithRebalance — so the default
-  // single-switch CSV stays byte-identical to the pre-channel pin.
+  // Each family below renders as its own CSV section; the bool or
+  // `configured` flag beside it gates that section (see RegisterInto), so
+  // a scenario that does not use a feature keeps its exact CSV bytes.
+  // Control plane: southbound commands, northbound telemetry, failure
+  // detection, load rebalancing (multi-switch or WithControlPlane).
   bool control_plane = false;
   testbed::ControlPlaneCounters control;
-
-  // Cascaded-placement aggregates (relay spans, inter-switch media,
-  // cross-switch decode-target switches). Rendered as a `cascade,...`
-  // CSV section on multi-switch backends; zeros when nothing spanned.
+  // Cascaded placement: relay spans and inter-switch media.
   testbed::CascadeCounters cascade;
-
-  // East-west federation aggregates (controller peering, directory
-  // traffic, shard adoption). Rendered as a `federation,...` CSV section
-  // only when `federation.configured` — fleet{N,R>1} — so single-region
-  // fleet goldens stay byte-identical.
+  // East-west federation: controller peering, directory, shard adoption.
   testbed::FederationCounters federation;
-
   // The modeled inter-switch backbone: per-link latency/capacity/load and
   // crossing traffic, the relay-tree depth histogram, worst utilization.
-  // Rendered as a `topology,...` CSV section only when the spec declared
-  // links (`configured`), so default full-mesh fleet CSVs stay
-  // byte-identical to the pinned goldens.
   testbed::TopologySnapshot topology;
-
-  // Workload-generator section (roaming participants): rendered only when
-  // the spec roamed anyone (`workload`), so every roam-free scenario's
-  // CSV keeps its exact bytes.
+  // Roaming participants.
   bool workload = false;
   uint64_t roams_executed = 0;   // roams that found their peer present
   uint64_t roam_rehomings = 0;   // rejoins completed via the new region
-
-  // Redundancy section (dual relay trees / hitless migration): rendered
-  // only when the spec configured either (`redundancy.configured`), so
-  // every unprotected scenario's CSV keeps its exact bytes.
+  // Dual relay trees / hitless migration, plus the runner's audit of
+  // make-before-break moves: frames lost (expected 0) and moves audited.
   testbed::RedundancyCounters redundancy;
-  // Hitless-migration audit (runner-side): frames lost across audited
-  // make-before-break moves (expected 0) and moves audited.
   uint64_t hitless_frames_lost = 0;
   uint64_t hitless_moves_measured = 0;
-
-  // Observability section (structured event tracing): rendered only when
-  // the spec enabled WithTrace (`trace_configured`), so every untraced
-  // scenario's CSV keeps its exact bytes.
+  // Structured event tracing (WithTrace).
   bool trace_configured = false;
   uint64_t trace_events = 0;   // total emitted, before any ring eviction
   uint64_t trace_evicted = 0;  // dropped by the flight-recorder ring
@@ -159,9 +138,10 @@ struct ScenarioMetrics {
   std::string Summary() const;
   // The one place that names the aggregate counters. Each key is
   // "<csv section>.<csv column>", set in CSV column order, and a gated
-  // section registers no keys at all. Derived values live under prefixes
-  // the CSV never renders (`fleet.`, `topology.`, `invariant.`). ToCsv,
-  // Summary and the Chrome trace export all read these entries.
+  // section registers no keys at all. Registry-only values sit under
+  // `fleet.`, `topology.` and `invariant.`, whose CSV sections (if any)
+  // are multi-row and hand-written. ToCsv, Summary and the Chrome trace
+  // export all read these entries.
   void RegisterInto(obs::StatsRegistry& registry) const;
 
   // Lowest min_frames_decoded over peers present at the end with at least

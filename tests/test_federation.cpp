@@ -173,6 +173,32 @@ TEST(Federation, ControllerDeathShardAdoption) {
   for (const auto& p : m.peers) EXPECT_TRUE(p.present_at_end);
 }
 
+TEST(Federation, JoinBeforeAdoptionAdoptsTheDeadShardOnDemand) {
+  // A join that reaches a dead region's meeting 50 ms after the kill —
+  // long before east-west heartbeat loss declares the death — must not
+  // abort the run: the plane adopts the shard on demand through the same
+  // adopter the detector would pick, and the later detection neither
+  // adopts again nor counts a second adoption. Covers both dying regions
+  // and every meeting, so half the points join a meeting the dead region
+  // owns.
+  for (int region = 0; region < 2; ++region) {
+    for (int meeting = 0; meeting < 4; ++meeting) {
+      SCOPED_TRACE("region " + std::to_string(region) + ", meeting " +
+                   std::to_string(meeting));
+      ScenarioSpec spec = ScenarioSpec::Uniform("fed-join-dead", 4, 2, 4.0);
+      spec.WithBackend(testbed::BackendChoice::Fleet(6, 2))
+          .WithControlPlane(0.001, 0)
+          .WithControllerFailure(2.0, region)
+          .WithJoin(meeting, 1, 2.05);
+      ScenarioRunner r(spec);
+      const ScenarioMetrics& m = r.Run();
+      EXPECT_GE(m.WorstDeliveryFloor(), 20u) << m.Summary();
+      EXPECT_EQ(m.federation.controllers_failed, 1u);
+      EXPECT_EQ(m.federation.shards_adopted, 1u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace scallop::harness
 
