@@ -88,7 +88,8 @@ int main() {
                 path, json.size());
   }
 
-  // 4. The unified registry doubles as the Summary()/CSV source of truth:
+  // 4. The unified registry: the entries the CSV's single-row sections,
+  //    Summary() and the Chrome metadata above are all rendered from —
   //    the same numbers, one namespace.
   std::printf("--- stats registry ---\n%s", registry.ToText().c_str());
   return 0;

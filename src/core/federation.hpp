@@ -239,10 +239,10 @@ class FederatedControlPlane : public SignalingServer {
   // the round-robin ingress, resolving the owner east-west from there. A
   // dead ingress region falls back to round-robin. For R == 1 this is the
   // plane itself. The reference stays valid for the plane's lifetime.
-  // Join/Leave are JoinVia/LeaveVia through kAnyIngress (round-robin).
-  // A Join for a meeting whose owner died before the detector noticed
-  // adopts the dead shard on the spot.
   SignalingServer& ingress(size_t r);
+  // Join/Leave through region `r`; Join/Leave above are these through
+  // kAnyIngress (round-robin). A join for a meeting whose owner died
+  // before the detector noticed adopts the dead shard on the spot.
   static constexpr size_t kAnyIngress = SIZE_MAX;
   JoinResult JoinVia(size_t r, MeetingId meeting,
                      const sdp::SessionDescription& offer,

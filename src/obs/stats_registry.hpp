@@ -1,8 +1,8 @@
 // Unified counter registry: one walkable name -> value view over the
-// scattered counter families (aggregate metrics, control-plane counters,
-// cascade counters, federation/topology/workload/redundancy stats, trace
-// totals). Summary(), the CSV writer, and the Chrome trace exporter all
-// read from the same registration instead of each hand-picking fields.
+// counter families a run reports. harness::ScenarioMetrics::RegisterInto
+// fills it under "<csv section>.<csv column>" keys; the CSV's single-row
+// sections, Summary() and the Chrome trace export all render from those
+// entries, so no renderer names a counter itself.
 //
 // Entries keep insertion order so every rendered view is deterministic.
 #pragma once

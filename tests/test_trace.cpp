@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -363,6 +364,66 @@ TEST(ObsTrace, FlightRecorderDumpsOnForcedInvariantFailure) {
   EXPECT_NE(dump.find("flight recorder"), std::string::npos);
   EXPECT_NE(dump.find("rewrite_violations=1"), std::string::npos);
   EXPECT_NE(dump.find("corr="), std::string::npos);  // carries trace text
+}
+
+// One stats namespace: every registry key outside the registry-only
+// prefixes is a "<section>.<column>" the CSV renders, and a section's keys
+// appear in the order of its CSV columns. The spec turns on every gated
+// section: fleet{4,2} (control, cascade, federation), a declared ring
+// (topology), redundant trees, a roam (workload) and tracing (obs).
+TEST(ObsStatsRegistry, RegistryKeysAreCsvColumnsInOrder) {
+  ScenarioSpec spec = ScenarioSpec::Uniform("one-namespace", 2, 3, 3.0, 5);
+  spec.WithBackend(testbed::BackendChoice::Fleet(4, 2))
+      .WithControlPlane(0.001)
+      .WithInterSwitchLink(0, 1, 0.001, 100e6)
+      .WithInterSwitchLink(1, 2, 0.001, 100e6)
+      .WithInterSwitchLink(2, 3, 0.001, 100e6)
+      .WithInterSwitchLink(3, 0, 0.001, 100e6)
+      .WithRedundantTrees()
+      .WithRoam(0, 1, 1.0, 1)
+      .WithTrace();
+  ScenarioRunner runner(spec);
+  const ScenarioMetrics& m = runner.Run();
+  obs::StatsRegistry registry;
+  m.RegisterInto(registry);
+  const std::string csv = m.ToCsv();
+
+  // Fields of the first CSV line of each section (its header, or its
+  // inline k,v line).
+  const auto first_line_fields = [&csv](const std::string& section) {
+    std::vector<std::string> fields;
+    const size_t at = csv.find("\n" + section + ",");
+    if (at == std::string::npos) return fields;
+    std::istringstream line(csv.substr(at + 1, csv.find('\n', at + 1) - at - 1));
+    std::string field;
+    while (std::getline(line, field, ',')) fields.push_back(field);
+    return fields;
+  };
+  std::set<std::string> sections;
+  std::string last_section;
+  size_t last_column = 0;
+  for (const auto& [name, value] : registry.entries()) {
+    const std::string section = name.substr(0, name.find('.'));
+    const std::string column = name.substr(section.size() + 1);
+    if (section == "invariant" || section == "fleet" ||
+        section == "topology") {
+      continue;
+    }
+    sections.insert(section);
+    const std::vector<std::string> fields = first_line_fields(section);
+    const auto it = std::find(fields.begin(), fields.end(), column);
+    ASSERT_NE(it, fields.end()) << name << " is not a CSV column\n" << csv;
+    const size_t position = static_cast<size_t>(it - fields.begin());
+    if (section == last_section) {
+      EXPECT_GT(position, last_column) << name << " is out of CSV order";
+    }
+    last_section = section;
+    last_column = position;
+  }
+  EXPECT_EQ(sections,
+            (std::set<std::string>{"aggregate", "cascade", "control",
+                                   "federation", "workload", "redundancy",
+                                   "obs"}));
 }
 
 TEST(ObsStatsRegistry, InsertionOrderedUpdateInPlace) {
