@@ -3,6 +3,11 @@
 // PLI-triggered key frames with structure refresh, and STUN RTT probing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
+#include "rtp/classifier.hpp"
+#include "rtp/rtcp.hpp"
 #include "testbed/testbed.hpp"
 
 namespace scallop::client {
@@ -221,6 +226,153 @@ TEST(PeerTest, AudioOnlyParticipant) {
   EXPECT_GT(b.video_receiver(a.id())->stats().frames_decoded, 200u);
   EXPECT_GT(a.audio_receiver(b.id())->packets_received(), 300u);
   EXPECT_EQ(a.video_receiver(b.id())->stats().packets_received, 0u);
+}
+
+// ---------- Retransmission history ----------
+// One peer whose uplink lands in a capture sink standing in for the SFU;
+// NACKs are handed to the peer directly. Zero-delay links make every
+// retransmission arrive at the instant it was requested.
+class HistoryBench : public core::SignalingServer, public sim::Host {
+ public:
+  static constexpr net::Ipv4 kSfu{10, 9, 9, 9};
+
+  explicit HistoryBench(size_t history) : net_(sched_, 5) {
+    PeerConfig pc = QuietPeer();
+    pc.address = net::Ipv4(10, 0, 0, 1);
+    pc.send_audio = false;
+    pc.retransmit_history = history;
+    // ~70 packets per frame, so the 16-bit sequence space wraps in
+    // about half a minute of simulated time.
+    pc.encoder.start_bitrate_bps = 20'000'000;
+    pc.encoder.max_bitrate_bps = 20'000'000;
+    peer_ = std::make_unique<Peer>(sched_, net_, pc);
+    net_.Attach(pc.address, peer_.get(), {}, {});
+    net_.Attach(kSfu, this, {}, {});
+  }
+
+  JoinResult Join(core::MeetingId, const sdp::SessionDescription&,
+                  core::SignalingClient*) override {
+    return JoinResult{.participant = 1, .uplink_sfu = {kSfu, 5000}};
+  }
+  void Leave(core::MeetingId, core::ParticipantId) override {}
+
+  void OnPacket(net::PacketPtr pkt) override {
+    if (rtp::Classify(pkt->payload_span()) != rtp::PayloadKind::kRtp) return;
+    uint16_t seq = *rtp::PeekSequenceNumber(pkt->payload_span());
+    uint64_t digest = Digest(pkt->payload);
+    if (collecting_retransmissions_) {
+      retransmitted_.emplace_back(seq, digest);
+      return;
+    }
+    latest_[seq] = digest;
+    newest_ = seq;
+    ++originals_;
+  }
+
+  Peer& peer() { return *peer_; }
+  void JoinMeeting() { peer_->Join(*this, 1); }
+
+  // Runs whole frames until at least `n` more original packets went out.
+  void SendAtLeast(uint64_t n) {
+    const uint64_t target = originals_ + n;
+    while (originals_ < target) sched_.RunUntil(sched_.now() + 33'334);
+  }
+
+  // NACKs `seqs` and returns the (seq, digest) of every retransmission.
+  std::vector<std::pair<uint16_t, uint64_t>> Nack(
+      std::vector<uint16_t> seqs) {
+    rtp::Nack nack;
+    nack.sender_ssrc = 7;
+    nack.media_ssrc = peer_->video_ssrc();
+    nack.sequence_numbers = std::move(seqs);
+    retransmitted_.clear();
+    collecting_retransmissions_ = true;
+    peer_->OnPacket(net::MakePacket(
+        {kSfu, 5000}, {peer_->address(), PeerConfig{}.base_port},
+        rtp::Serialize(rtp::RtcpMessage{nack})));
+    sched_.RunUntil(sched_.now());
+    collecting_retransmissions_ = false;
+    return retransmitted_;
+  }
+
+  uint16_t newest() const { return newest_; }
+  uint64_t originals() const { return originals_; }
+  uint64_t latest(uint16_t seq) const { return latest_[seq]; }
+
+ private:
+  static uint64_t Digest(const std::vector<uint8_t>& bytes) {
+    uint64_t h = 1469598103934665603ull;
+    for (uint8_t b : bytes) h = (h ^ b) * 1099511628211ull;
+    return h;
+  }
+
+  sim::Scheduler sched_;
+  sim::Network net_;
+  std::unique_ptr<Peer> peer_;
+  std::vector<uint64_t> latest_ = std::vector<uint64_t>(65536, 0);
+  std::vector<std::pair<uint16_t, uint64_t>> retransmitted_;
+  bool collecting_retransmissions_ = false;
+  uint16_t newest_ = 0;
+  uint64_t originals_ = 0;
+};
+
+// The history serves exactly the last `retransmit_history` packets sent:
+// the oldest retained one is served with its original bytes, the one
+// before it is ignored — also right after the 65535 -> 0 wrap.
+TEST(PeerHistoryTest, ServesExactlyTheLastNPacketsAcrossTheWrap) {
+  for (size_t history : {size_t{1024}, size_t{1000}}) {
+    SCOPED_TRACE(history);
+    HistoryBench bench(history);
+    bench.JoinMeeting();
+    for (uint64_t upto : {uint64_t{3000}, uint64_t{65'540}}) {
+      bench.SendAtLeast(upto - bench.originals());
+      const uint16_t newest = bench.newest();
+      const auto oldest = static_cast<uint16_t>(newest - (history - 1));
+      const auto evicted = static_cast<uint16_t>(oldest - 1);
+      auto got = bench.Nack({evicted, oldest, newest});
+      ASSERT_EQ(got.size(), 2u);
+      EXPECT_EQ(got[0].first, oldest);
+      EXPECT_EQ(got[0].second, bench.latest(oldest));
+      EXPECT_EQ(got[1].first, newest);
+      EXPECT_EQ(got[1].second, bench.latest(newest));
+    }
+    // Both sides of the wrap are retained.
+    ASSERT_LT(bench.newest(), 200);
+    auto got = bench.Nack({65'535, 0});
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].second, bench.latest(65'535));
+    EXPECT_EQ(got[1].second, bench.latest(0));
+    EXPECT_EQ(bench.peer().stats().retransmissions_sent, 6u);
+  }
+}
+
+TEST(PeerHistoryTest, ZeroHistoryServesNothing) {
+  HistoryBench bench(0);
+  bench.JoinMeeting();
+  bench.SendAtLeast(500);
+  EXPECT_TRUE(bench.Nack({1, 100, bench.newest()}).empty());
+  EXPECT_EQ(bench.peer().stats().retransmissions_sent, 0u);
+}
+
+// A rejoin restarts the packetizer in the same sequence space: a NACK must
+// never be answered with bytes from before the Leave.
+TEST(PeerHistoryTest, RejoinNeverRetransmitsStaleBytes) {
+  HistoryBench bench(1024);
+  bench.JoinMeeting();
+  bench.SendAtLeast(500);
+  ASSERT_GE(bench.newest(), 300);
+  const uint64_t old100 = bench.latest(100);
+  bench.peer().Leave();
+  EXPECT_TRUE(bench.Nack({100, 300}).empty());
+  bench.JoinMeeting();
+  EXPECT_TRUE(bench.Nack({100, 300}).empty());
+  bench.SendAtLeast(150);
+  ASSERT_LT(bench.newest(), 300);
+  auto got = bench.Nack({100, 300});
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].first, 100);
+  EXPECT_EQ(got[0].second, bench.latest(100));
+  EXPECT_NE(got[0].second, old100);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "media/audio.hpp"
 #include "media/encoder.hpp"
 #include "media/packetizer.hpp"
 #include "media/receiver.hpp"
+#include "util/random.hpp"
 
 namespace scallop::media {
 namespace {
@@ -395,6 +398,318 @@ TEST(VideoReceiverTest, PerSecondSeries) {
   EXPECT_NEAR(h.receiver_.decoded_fps_series().SumInSecond(0), 30.0, 1.0);
   EXPECT_NEAR(h.receiver_.decoded_fps_series().SumInSecond(1), 30.0, 1.0);
   EXPECT_GT(h.receiver_.received_bytes_series().SumInSecond(0), 0.0);
+}
+
+// ---------- Receiver semantics pins ----------
+// Hand-built packets with explicit sequence and frame numbers, so each
+// case hits one edge of the duplicate window, the frame assembler or the
+// decoder exactly. The expected counts are part of the receiver's
+// contract; a storage change must leave every one of them unchanged.
+
+rtp::RtpPacket PinPacket(uint16_t seq, uint16_t frame, uint8_t template_id,
+                         bool start = true, bool end = true,
+                         size_t bytes = 100) {
+  rtp::RtpPacket p;
+  p.payload_type = 96;
+  p.sequence_number = seq;
+  p.timestamp = static_cast<uint32_t>(frame) * 3000;
+  p.ssrc = 1;
+  av1::DependencyDescriptor dd;
+  dd.start_of_frame = start;
+  dd.end_of_frame = end;
+  dd.template_id = template_id;
+  dd.frame_number = frame;
+  p.SetExtension(av1::kDdExtensionId, dd.Serialize());
+  p.payload.assign(bytes, 0xab);
+  return p;
+}
+
+// L1T3 template of frame `n` when frame `key` is the last key frame.
+uint8_t PinTemplate(int64_t n, int64_t key = 1) {
+  if (n == key) return 0;
+  static constexpr uint8_t kCycle[4] = {3, 2, 4, 1};
+  return kCycle[(n - key - 1) % 4];
+}
+
+struct PinRx {
+  PinRx()
+      : rx(
+            VideoReceiverConfig{},
+            [this](const std::vector<uint16_t>& s) {
+              nacks.insert(nacks.end(), s.begin(), s.end());
+            },
+            [this] { ++plis; }) {}
+  VideoReceiver rx;
+  std::vector<uint16_t> nacks;
+  int plis = 0;
+};
+
+// Single-packet frames: seq `first + i` carries frame `1 + i`.
+void FeedSinglePacketFrames(PinRx& h, uint16_t first, int count,
+                            util::TimeUs& t) {
+  for (int i = 0; i < count; ++i) {
+    int64_t frame = 1 + i;
+    h.rx.OnPacket(PinPacket(static_cast<uint16_t>(first + i),
+                            static_cast<uint16_t>(frame), PinTemplate(frame)),
+                  t);
+    t += 1'000;
+  }
+}
+
+TEST(VideoReceiverPin, DuplicateWindowEdges) {
+  PinRx h;
+  util::TimeUs t = 0;
+  FeedSinglePacketFrames(h, 1, 5000, t);  // seen_max = 5000
+  const auto& st = h.rx.stats();
+  ASSERT_EQ(st.frames_decoded, 5000u);
+  ASSERT_EQ(st.duplicate_packets, 0u);
+
+  // seen_max - 4096 is still inside the window: a duplicate.
+  h.rx.OnPacket(PinPacket(904, 904, PinTemplate(904)), t);
+  EXPECT_EQ(st.duplicate_packets, 1u);
+  EXPECT_EQ(st.packets_received, 5001u);
+  // seen_max - 4097 has aged out: accepted as a new (very late) packet.
+  h.rx.OnPacket(PinPacket(903, 903, PinTemplate(903)), t);
+  EXPECT_EQ(st.duplicate_packets, 1u);
+  EXPECT_EQ(st.packets_received, 5002u);
+  EXPECT_EQ(st.conflicting_duplicates, 0u);
+  EXPECT_EQ(st.decoder_breaks, 0u);
+}
+
+TEST(VideoReceiverPin, VeryLatePacketStaysDuplicateUntilNewerPacket) {
+  PinRx h;
+  util::TimeUs t = 0;
+  FeedSinglePacketFrames(h, 1, 6000, t);
+  const auto& st = h.rx.stats();
+  // 1000 is 5000 behind: accepted, and it re-enters the window.
+  h.rx.OnPacket(PinPacket(1000, 1000, PinTemplate(1000)), t);
+  EXPECT_EQ(st.duplicate_packets, 0u);
+  // Its immediate duplicate is detected (nothing newer pruned it yet) —
+  // and with different content it is a conflicting one.
+  h.rx.OnPacket(PinPacket(1000, 1000, PinTemplate(1000)), t);
+  EXPECT_EQ(st.duplicate_packets, 1u);
+  h.rx.OnPacket(PinPacket(1000, 77, 2), t);
+  EXPECT_EQ(st.duplicate_packets, 2u);
+  EXPECT_EQ(st.conflicting_duplicates, 1u);
+  EXPECT_EQ(st.decoder_breaks, 1u);
+  // A newer packet prunes it; the next copy is new again.
+  h.rx.OnPacket(PinPacket(6001, 6001, PinTemplate(6001)), t);
+  h.rx.OnPacket(PinPacket(1000, 1000, PinTemplate(1000)), t);
+  EXPECT_EQ(st.duplicate_packets, 2u);
+  EXPECT_EQ(st.packets_received, 6005u);
+  // Duplicates never prune: a late packet followed by duplicates of
+  // itself stays detectable until a newer non-duplicate arrives.
+  h.rx.OnPacket(PinPacket(1000, 1000, PinTemplate(1000)), t);
+  EXPECT_EQ(st.duplicate_packets, 3u);
+}
+
+TEST(VideoReceiverPin, ConflictingDuplicateAfterReordering) {
+  PinRx h;
+  util::TimeUs t = 0;
+  for (uint16_t s : {1, 2, 3, 5, 4, 7, 6, 8}) {
+    h.rx.OnPacket(PinPacket(s, s, PinTemplate(s)), t);
+    t += 1'000;
+  }
+  const auto& st = h.rx.stats();
+  EXPECT_EQ(st.frames_decoded, 8u);
+  EXPECT_EQ(st.duplicate_packets, 0u);
+  // Same content at a reordered seq: a benign duplicate.
+  h.rx.OnPacket(PinPacket(4, 4, PinTemplate(4)), t);
+  EXPECT_EQ(st.duplicate_packets, 1u);
+  EXPECT_EQ(st.conflicting_duplicates, 0u);
+  // Same seq, another frame's content: breaks the decoder.
+  h.rx.OnPacket(PinPacket(6, 9, PinTemplate(9)), t);
+  EXPECT_EQ(st.duplicate_packets, 2u);
+  EXPECT_EQ(st.conflicting_duplicates, 1u);
+  EXPECT_EQ(st.decoder_breaks, 1u);
+  // Delta frames stay undecodable until the next key frame.
+  h.rx.OnPacket(PinPacket(9, 9, PinTemplate(9)), t);
+  EXPECT_EQ(st.frames_decoded, 8u);
+  EXPECT_EQ(st.frames_undecodable, 1u);
+  h.rx.OnPacket(PinPacket(10, 10, 0), t);
+  EXPECT_EQ(st.frames_decoded, 9u);
+  EXPECT_EQ(st.key_frames_decoded, 2u);
+}
+
+TEST(VideoReceiverPin, OutOfOrderAssemblyAndKeyFrameSkip) {
+  PinRx h;
+  util::TimeUs t = 0;
+  // Frame 1 (key) in three packets, delivered end, start, middle.
+  h.rx.OnPacket(PinPacket(3, 1, 0, false, true), t);
+  h.rx.OnPacket(PinPacket(1, 1, 0, true, false), t);
+  EXPECT_EQ(h.rx.stats().frames_decoded, 0u);
+  h.rx.OnPacket(PinPacket(2, 1, 0, false, false), t);
+  EXPECT_EQ(h.rx.stats().frames_decoded, 1u);
+  // Frame 2 complete, frame 3 loses its middle packet, frame 4 loses its
+  // start, frame 5 is a complete key frame: the decoder decodes 2 and then
+  // skips 3 and 4 (both incomplete) to resync on 5.
+  t += 1'000;
+  h.rx.OnPacket(PinPacket(4, 2, PinTemplate(2), true, true), t);
+  h.rx.OnPacket(PinPacket(5, 3, PinTemplate(3), true, false), t);
+  h.rx.OnPacket(PinPacket(7, 3, PinTemplate(3), false, true), t);
+  h.rx.OnPacket(PinPacket(9, 4, PinTemplate(4), false, true), t);
+  const auto& st = h.rx.stats();
+  EXPECT_EQ(st.frames_decoded, 2u);
+  h.rx.OnPacket(PinPacket(11, 5, 0, false, true), t);
+  h.rx.OnPacket(PinPacket(10, 5, 0, true, false), t);
+  EXPECT_EQ(st.frames_decoded, 3u);
+  EXPECT_EQ(st.key_frames_decoded, 2u);
+  EXPECT_EQ(st.frames_undecodable, 2u);
+  EXPECT_EQ(st.frames_completed, 3u);
+  // The missing packets (6, 8, and 10 seen as a gap) count as recoveries.
+  // 6 and 8 belong to dropped frames: they re-open frames 3 and 4 as
+  // incomplete pending entries, which hold frame 6 back (it depends on
+  // key frame 5) until the next complete key frame.
+  h.rx.OnPacket(PinPacket(6, 3, PinTemplate(3), false, false), t);
+  h.rx.OnPacket(PinPacket(8, 4, PinTemplate(4), true, false), t);
+  EXPECT_EQ(st.recovered_packets, 3u);
+  EXPECT_EQ(st.frames_decoded, 3u);
+  h.rx.OnPacket(PinPacket(12, 6, PinTemplate(6, 5)), t);
+  EXPECT_EQ(st.frames_decoded, 3u);
+  h.rx.OnPacket(PinPacket(13, 7, 0), t);
+  EXPECT_EQ(st.frames_decoded, 4u);
+  EXPECT_EQ(st.frames_undecodable, 5u);
+}
+
+TEST(VideoReceiverPin, RecentFpsKeepsLast256Decodes) {
+  PinRx h;
+  util::TimeUs t = 0;
+  for (int i = 0; i < 300; ++i) {
+    int64_t frame = 1 + i;
+    h.rx.OnPacket(PinPacket(static_cast<uint16_t>(frame),
+                            static_cast<uint16_t>(frame), PinTemplate(frame)),
+                  t);
+    t += 33'333;
+  }
+  const util::TimeUs now = t - 33'333;
+  EXPECT_EQ(h.rx.stats().frames_decoded, 300u);
+  // One second back covers 31 decodes (both ends inclusive).
+  EXPECT_DOUBLE_EQ(h.rx.RecentFps(now), 31.0);
+  // A window wider than the whole run still counts only the last 256.
+  EXPECT_DOUBLE_EQ(h.rx.RecentFps(now, util::Seconds(100)), 2.56);
+  EXPECT_DOUBLE_EQ(h.rx.RecentFps(now, util::Millis(100)), 40.0);
+}
+
+TEST(VideoReceiverPin, SequenceWrap) {
+  PinRx h;
+  util::TimeUs t = 0;
+  FeedSinglePacketFrames(h, 65'500, 200, t);  // 65500..65535, 0..163
+  const auto& st = h.rx.stats();
+  EXPECT_EQ(st.frames_decoded, 200u);
+  EXPECT_EQ(st.duplicate_packets, 0u);
+  EXPECT_TRUE(h.nacks.empty());
+  // Duplicates on both sides of the wrap are still recognised.
+  h.rx.OnPacket(PinPacket(65'535, 36, PinTemplate(36)), t);
+  h.rx.OnPacket(PinPacket(0, 37, PinTemplate(37)), t);
+  EXPECT_EQ(st.duplicate_packets, 2u);
+  EXPECT_EQ(st.conflicting_duplicates, 0u);
+  // Past the wrap, a lost packet is NACKed by its 16-bit seq.
+  h.rx.OnPacket(PinPacket(165, 202, PinTemplate(202)), t);
+  h.rx.OnTick(t + util::Millis(20));
+  EXPECT_EQ(h.nacks, (std::vector<uint16_t>{164}));
+}
+
+TEST(VideoReceiverPin, AbandonmentFailsTheNeighbourFrameRange) {
+  PinRx h;
+  util::TimeUs t = 0;
+  // Frames of three packets: frame f owns seqs 3f-2 .. 3f.
+  auto send_frame = [&](int64_t f, std::initializer_list<int> skip) {
+    for (int k = 0; k < 3; ++k) {
+      if (std::find(skip.begin(), skip.end(), k) != skip.end()) continue;
+      h.rx.OnPacket(PinPacket(static_cast<uint16_t>(3 * f - 2 + k),
+                              static_cast<uint16_t>(f), PinTemplate(f),
+                              k == 0, k == 2),
+                    t);
+    }
+    t += 33'333;
+  };
+  for (int64_t f = 1; f <= 3; ++f) send_frame(f, {});
+  send_frame(4, {2});   // loses seq 12 (end of frame 4)
+  send_frame(5, {0});   // loses seq 13 (start of frame 5)
+  for (int64_t f = 6; f <= 12; ++f) send_frame(f, {});
+  const auto& st = h.rx.stats();
+  EXPECT_EQ(st.frames_decoded, 3u);
+  h.rx.OnTick(t);  // first NACK
+  EXPECT_EQ(h.nacks, (std::vector<uint16_t>{12, 13}));
+  t += util::Millis(460);
+  h.rx.OnTick(t);  // both abandoned: frames 4 and 5 fail
+  EXPECT_EQ(st.abandoned_packets, 2u);
+  EXPECT_EQ(st.nacks_sent, 1u);
+  EXPECT_EQ(st.frames_decoded, 3u);
+  EXPECT_EQ(st.frames_undecodable, 9u);
+  EXPECT_EQ(st.frames_completed, 10u);
+  // A retransmission after abandonment is counted but changes nothing.
+  h.rx.OnPacket(PinPacket(12, 4, PinTemplate(4), false, true), t);
+  EXPECT_EQ(st.recovered_packets, 1u);
+  EXPECT_EQ(st.frames_decoded, 3u);
+}
+
+// Pseudo-random stream with reordering, loss, retransmissions,
+// duplicates, conflicting rewrites, very late packets and a sequence wrap,
+// fed through one receiver. The digest of its counters pins the whole
+// receive pipeline's semantics at once.
+TEST(VideoReceiverPin, RandomizedStreamDigest) {
+  PinRx h;
+  util::Rng rng(2024);
+  struct Sent {
+    uint16_t seq;
+    uint16_t frame;
+    uint8_t tid;
+    bool start, end;
+  };
+  std::vector<Sent> sent;
+  uint16_t seq = 60'000;
+  int64_t key = 1;
+  for (int64_t f = 1; f <= 2500; ++f) {
+    if (f > 1 && rng.Bernoulli(0.03)) key = f;
+    int n = static_cast<int>(rng.UniformInt(1, 4));
+    for (int k = 0; k < n; ++k) {
+      sent.push_back(Sent{seq++, static_cast<uint16_t>(f),
+                          PinTemplate(f, key), k == 0, k + 1 == n});
+    }
+  }
+  util::TimeUs t = 0;
+  std::vector<size_t> late;
+  auto deliver = [&](const Sent& s, uint16_t frame) {
+    h.rx.OnPacket(PinPacket(s.seq, frame, s.tid, s.start, s.end), t);
+  };
+  for (size_t i = 0; i < sent.size(); ++i) {
+    t += 2'500;
+    if (i % 20 == 0) h.rx.OnTick(t);
+    double r = rng.NextDouble();
+    if (r < 0.01) continue;                      // lost for good
+    if (r < 0.05) { late.push_back(i); continue; }  // delivered later
+    deliver(sent[i], sent[i].frame);
+    if (rng.Bernoulli(0.02)) deliver(sent[i], sent[i].frame);  // dup
+    if (rng.Bernoulli(0.0005)) deliver(sent[i], sent[i].frame + 1);
+    if (!late.empty() && rng.Bernoulli(0.3)) {
+      size_t j = late[static_cast<size_t>(rng.UniformInt(
+          0, static_cast<int64_t>(late.size()) - 1))];
+      deliver(sent[j], sent[j].frame);
+    }
+    if (i > 5000 && rng.Bernoulli(0.001)) {  // very late (> 4096 behind)
+      const Sent& old = sent[i - 4100 - static_cast<size_t>(
+                                           rng.UniformInt(0, 400))];
+      deliver(old, old.frame);
+      deliver(old, old.frame);
+    }
+  }
+  h.rx.OnTick(t + util::Seconds(1));
+  const VideoReceiverStats& st = h.rx.stats();
+  std::vector<uint64_t> got = {st.packets_received,   st.bytes_received,
+                               st.duplicate_packets,  st.conflicting_duplicates,
+                               st.nacks_sent,         st.nacked_packets,
+                               st.plis_sent,          st.recovered_packets,
+                               st.abandoned_packets,  st.frames_completed,
+                               st.frames_decoded,     st.key_frames_decoded,
+                               st.frames_undecodable, st.decoder_breaks,
+                               h.nacks.size(),        static_cast<uint64_t>(h.plis)};
+  std::vector<uint64_t> want = {7884, 788400, 1624, 2,   291, 1032,
+                                8,    198,    183,  428, 327, 59,
+                                2366, 2,      1032, 8};
+  EXPECT_EQ(got, want);
+  EXPECT_DOUBLE_EQ(st.total_freeze_ms, 6475.0);
+  EXPECT_DOUBLE_EQ(h.rx.RecentFps(t, util::Seconds(3)), 10.0);
 }
 
 TEST(AudioReceiverTest, CountsGaps) {

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "net/packet.hpp"
 #include "sim/link.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
+#include "util/random.hpp"
 
 namespace scallop::sim {
 namespace {
@@ -297,6 +299,113 @@ TEST(LinkTest, RuntimeRateChangeTakesEffect) {
   EXPECT_EQ(arrival, 4112);
 }
 
+// Links fire their deliveries in the scheduler's global (when, seq) order:
+// by arrival time, and among equal times by the order of the Send calls,
+// interleaved with At events by the order they were scheduled. The links
+// below reorder on purpose — jitter, a reorder knob, a propagation delay
+// cut mid-run and non-monotone deferred departures — and every event
+// lands on a 1 ms grid, so equal-time ties are common.
+TEST(LinkOrdering, RandomizedDeliveriesFollowArrivalThenSendOrder) {
+  Scheduler s;
+  util::Rng rng(11);
+  std::vector<std::unique_ptr<Link>> links;
+  links.push_back(std::make_unique<Link>(
+      s, LinkConfig{.rate_bps = 0, .prop_delay = util::Millis(20)}, 1));
+  links.push_back(std::make_unique<Link>(
+      s,
+      LinkConfig{.rate_bps = 0,
+                 .prop_delay = util::Millis(3),
+                 .reorder_rate = 0.3,
+                 .reorder_delay = util::Millis(4)},
+      2));
+  links.push_back(std::make_unique<Link>(
+      s,
+      LinkConfig{.rate_bps = 0,
+                 .prop_delay = util::Millis(2),
+                 .jitter_stddev = util::Millis(3),
+                 .loss_rate = 0.05},
+      3));
+  links.push_back(std::make_unique<Link>(
+      s, LinkConfig{.rate_bps = 8e6, .prop_delay = util::Millis(1)}, 4));
+  links.push_back(std::make_unique<Link>(s, LinkConfig{.rate_bps = 0}, 5));
+
+  struct Fired {
+    util::TimeUs when;
+    uint64_t order;
+    bool operator<(const Fired& o) const {
+      return when != o.when ? when < o.when : order < o.order;
+    }
+  };
+  std::vector<Fired> fired;
+  uint64_t submitted = 0;
+  uint64_t accepted = 0;
+  auto grid = [&](int64_t max_ms) {
+    return util::Millis(rng.UniformInt(0, max_ms));
+  };
+  std::function<void(int)> send = [&](int hops) {
+    Link& link = *links[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(links.size()) - 1))];
+    const uint64_t order = submitted++;
+    util::TimeUs depart =
+        rng.Bernoulli(0.3) ? s.now() + grid(6) : util::TimeUs{-1};
+    link.Send(
+        MakeTestPacket(200),
+        [&, order, hops](net::PacketPtr p) {
+          fired.push_back(Fired{p->arrival, order});
+          // Forward some deliveries on: sends from inside a delivery.
+          if (hops > 0 && rng.Bernoulli(0.5)) send(hops - 1);
+        },
+        depart);
+    ++accepted;
+  };
+  std::function<void()> tick = [&] {
+    const uint64_t order = submitted++;
+    const util::TimeUs when = s.now() + grid(4);
+    s.At(when, [&, order, when] {
+      fired.push_back(Fired{when, order});
+      int n = static_cast<int>(rng.UniformInt(0, 3));
+      for (int i = 0; i < n; ++i) send(2);
+      if (s.now() < util::Millis(3000)) tick();
+    });
+  };
+  for (int i = 0; i < 4; ++i) tick();
+  // The propagation delay drop lets later packets overtake in-flight ones.
+  s.At(util::Millis(1500), [&, order = submitted++] {
+    fired.push_back(Fired{util::Millis(1500), order});
+    links[0]->set_prop_delay(util::Millis(1));
+  });
+  s.RunAll();
+
+  ASSERT_GT(fired.size(), 2000u);
+  // The workload really does tie and reorder.
+  size_t ties = 0;
+  size_t overtakes = 0;
+  for (size_t i = 1; i < fired.size(); ++i) {
+    if (fired[i].when == fired[i - 1].when) ++ties;
+    if (fired[i].order < fired[i - 1].order) ++overtakes;
+  }
+  EXPECT_GT(ties, 200u);
+  EXPECT_GT(overtakes, 200u);
+  for (size_t i = 1; i < fired.size(); ++i) {
+    ASSERT_TRUE(fired[i - 1] < fired[i])
+        << "event " << i << " at " << fired[i].when << " (submitted #"
+        << fired[i].order << ") fired after " << fired[i - 1].when
+        << " (#" << fired[i - 1].order << ")";
+  }
+  uint64_t delivered = 0;
+  uint64_t lost = 0;
+  uint64_t sent = 0;
+  for (const auto& link : links) {
+    delivered += link->stats().delivered_packets;
+    lost += link->stats().lost_packets + link->stats().dropped_packets;
+    sent += link->stats().sent_packets;
+  }
+  EXPECT_EQ(sent, accepted);
+  EXPECT_EQ(delivered + lost, sent);
+  EXPECT_GT(lost, 0u);
+  EXPECT_TRUE(s.empty());
+}
+
 class Sink : public Host {
  public:
   void OnPacket(net::PacketPtr pkt) override { received.push_back(std::move(pkt)); }
@@ -340,6 +449,47 @@ TEST(NetworkTest, DownlinkCapacityShapesTraffic) {
   ASSERT_EQ(b.received.size(), 5u);
   // Spaced by the serialization time of the bottleneck downlink.
   EXPECT_EQ(b.received[4]->arrival - b.received[3]->arrival, 8224);
+}
+
+TEST(NetworkTest, ConnectReshapesPairLinkWithPacketsInFlight) {
+  Scheduler s;
+  Network net(s, 99);
+  Sink a, b;
+  const Ipv4 ia(10, 0, 0, 1), ib(10, 0, 0, 2);
+  net.Attach(ia, &a, {}, {});
+  net.Attach(ib, &b, {}, {});
+  LinkConfig slow{.rate_bps = 0, .prop_delay = util::Millis(20)};
+  net.Connect(ia, ib, slow, slow);
+  net.SetRoute(ia, ib, {ia, ib});
+  Link* before = net.pair_link(ia, ib);
+  ASSERT_NE(before, nullptr);
+  std::vector<util::TimeUs> sent_at;
+  for (int i = 0; i < 10; ++i) {
+    s.At(util::Millis(i), [&] {
+      sent_at.push_back(s.now());
+      net.Send(MakeTestPacket(100));
+    });
+  }
+  // At 5 ms (after that instant's send) the backbone drops to 2 ms: the
+  // packets sent later overtake the six still in flight on the old delay.
+  s.At(util::Millis(5), [&] {
+    LinkConfig fast{.rate_bps = 0, .prop_delay = util::Millis(2)};
+    net.Connect(ia, ib, fast, fast);
+  });
+  s.RunAll();
+  EXPECT_EQ(net.pair_link(ia, ib), before);  // reshaped in place
+  ASSERT_EQ(b.received.size(), 10u);
+  std::vector<util::TimeUs> arrivals;
+  for (const auto& p : b.received) arrivals.push_back(p->arrival);
+  EXPECT_EQ(arrivals,
+            (std::vector<util::TimeUs>{
+                util::Millis(8), util::Millis(9), util::Millis(10),
+                util::Millis(11), util::Millis(20), util::Millis(21),
+                util::Millis(22), util::Millis(23), util::Millis(24),
+                util::Millis(25)}));
+  EXPECT_EQ(before->stats().sent_packets, 10u);
+  EXPECT_EQ(before->stats().delivered_packets, 10u);
+  EXPECT_TRUE(a.received.empty());
 }
 
 }  // namespace
