@@ -43,7 +43,13 @@ TemplateStructure TemplateStructure::L1T3() {
 }
 
 std::vector<uint8_t> DependencyDescriptor::Serialize() const {
-  ByteWriter w(8);
+  std::vector<uint8_t> out;
+  SerializeInto(out);
+  return out;
+}
+
+void DependencyDescriptor::SerializeInto(std::vector<uint8_t>& out) const {
+  ByteWriter w(std::move(out), 8);
   uint8_t b0 = static_cast<uint8_t>((start_of_frame ? 0x80 : 0) |
                                     (end_of_frame ? 0x40 : 0) |
                                     (template_id & 0x3f));
@@ -54,7 +60,7 @@ std::vector<uint8_t> DependencyDescriptor::Serialize() const {
     w.WriteU8(static_cast<uint8_t>(structure->template_temporal_ids.size()));
     for (uint8_t tid : structure->template_temporal_ids) w.WriteU8(tid);
   }
-  return std::move(w).Take();
+  out = std::move(w).Take();
 }
 
 std::optional<DependencyDescriptor> DependencyDescriptor::Parse(

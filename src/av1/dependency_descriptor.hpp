@@ -58,6 +58,8 @@ struct DependencyDescriptor {
   std::optional<TemplateStructure> structure;  // key frames only
 
   std::vector<uint8_t> Serialize() const;
+  // Same bytes, written over `out` (reusing its capacity).
+  void SerializeInto(std::vector<uint8_t>& out) const;
   static std::optional<DependencyDescriptor> Parse(
       std::span<const uint8_t> data);
 

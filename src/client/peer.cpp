@@ -90,8 +90,8 @@ void Peer::Leave() {
   // NACKs from the previous session would retransmit stale frames under
   // live sequence numbers — exactly the conflicting-duplicate corruption
   // the rewriter exists to prevent.
-  history_.clear();
-  history_order_.clear();
+  std::vector<SentPacket>().swap(history_);
+  history_next_ = 0;
   stun_inflight_.clear();
 }
 
@@ -203,27 +203,45 @@ void Peer::SendVideoFrame() {
   util::TimeUs now = sched_.now();
   media::EncodedFrame frame = encoder_->NextFrame(now);
   for (const rtp::RtpPacket& pkt : packetizer_->Packetize(frame, now)) {
-    auto wire = pkt.Serialize();
-    history_[pkt.sequence_number] = wire;
-    history_order_.push_back(pkt.sequence_number);
-    while (history_order_.size() > cfg_.retransmit_history) {
-      history_.erase(history_order_.front());
-      history_order_.pop_front();
-    }
+    net::PacketPtr out = UplinkPacket();
+    pkt.SerializeInto(out->payload);
+    RememberSent(pkt.sequence_number, out->payload);
     ++video_packet_count_;
     video_octet_count_ += static_cast<uint32_t>(pkt.payload.size());
     ++stats_.rtp_sent;
-    Transmit(media_local_, uplink_sfu_, std::move(wire));
+    network_.Send(std::move(out));
   }
+}
+
+void Peer::RememberSent(uint16_t seq, std::span<const uint8_t> wire) {
+  const size_t capacity = cfg_.retransmit_history;
+  if (capacity == 0) return;
+  if (history_.size() < capacity) history_.emplace_back();
+  SentPacket& slot = history_[history_next_];
+  slot.seq = seq;
+  slot.wire.assign(wire.begin(), wire.end());
+  history_next_ = (history_next_ + 1) % capacity;
+}
+
+const Peer::SentPacket* Peer::FindSent(uint16_t seq) const {
+  if (history_.empty()) return nullptr;
+  const size_t capacity = cfg_.retransmit_history;
+  const size_t newest = (history_next_ + capacity - 1) % capacity;
+  const auto behind = static_cast<uint16_t>(history_[newest].seq - seq);
+  if (behind >= history_.size()) return nullptr;  // evicted or never sent
+  const SentPacket& slot = history_[(newest + capacity - behind) % capacity];
+  return slot.seq == seq ? &slot : nullptr;
 }
 
 void Peer::SendAudioFrame() {
   util::TimeUs now = sched_.now();
-  rtp::RtpPacket pkt = audio_source_->NextPacket(now);
+  const rtp::RtpPacket& pkt = audio_source_->NextPacket(now);
   ++audio_packet_count_;
   audio_octet_count_ += static_cast<uint32_t>(pkt.payload.size());
   ++stats_.rtp_sent;
-  Transmit(media_local_, uplink_sfu_, pkt.Serialize());
+  net::PacketPtr out = UplinkPacket();
+  pkt.SerializeInto(out->payload);
+  network_.Send(std::move(out));
 }
 
 void Peer::SendSenderReports() {
@@ -349,9 +367,8 @@ void Peer::OnPacket(net::PacketPtr pkt) {
     case rtp::PayloadKind::kRtp: {
       RemoteLeg* leg = LegByLocalPort(pkt->dst.port);
       if (leg == nullptr) return;
-      auto parsed = rtp::RtpPacket::Parse(pkt->payload_span());
-      if (!parsed.has_value()) return;
-      HandleMediaPacket(*leg, *parsed, arrival, pkt->payload.size());
+      if (!rtp::RtpPacket::ParseInto(pkt->payload_span(), rx_packet_)) return;
+      HandleMediaPacket(*leg, rx_packet_, arrival, pkt->payload.size());
       return;
     }
     default:
@@ -419,12 +436,21 @@ void Peer::HandleRtcp(RemoteLeg* leg, std::span<const uint8_t> payload) {
 
 void Peer::HandleNack(const rtp::Nack& nack) {
   for (uint16_t seq : nack.sequence_numbers) {
-    auto it = history_.find(seq);
-    if (it == history_.end()) continue;
+    const SentPacket* sent = FindSent(seq);
+    if (sent == nullptr) continue;
     ++stats_.retransmissions_sent;
     ++stats_.rtp_sent;
-    Transmit(media_local_, uplink_sfu_, it->second);
+    net::PacketPtr out = UplinkPacket();
+    out->payload.assign(sent->wire.begin(), sent->wire.end());
+    network_.Send(std::move(out));
   }
+}
+
+net::PacketPtr Peer::UplinkPacket() const {
+  net::PacketPtr p = net::AcquirePacket();
+  p->src = media_local_;
+  p->dst = uplink_sfu_;
+  return p;
 }
 
 void Peer::Transmit(net::Endpoint from, net::Endpoint to,

@@ -7,7 +7,6 @@
 // split (paper §5.3) is negotiated exactly as in Scallop.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -131,6 +130,9 @@ class Peer : public sim::Host, public core::SignalingClient {
   void HandleNack(const rtp::Nack& nack);
   void Transmit(net::Endpoint from, net::Endpoint to,
                 std::vector<uint8_t> payload);
+  // A pooled packet on the uplink leg; the caller writes its payload over
+  // the pooled buffer (media paths) instead of swapping in a fresh one.
+  net::PacketPtr UplinkPacket() const;
   RemoteLeg* LegByLocalPort(uint16_t port);
 
   sim::Scheduler& sched_;
@@ -160,9 +162,21 @@ class Peer : public sim::Host, public core::SignalingClient {
   // node-based, so RemoteLeg addresses are stable).
   std::unordered_map<uint16_t, RemoteLeg*> port_to_leg_;
 
-  // Retransmission history of sent video packets (wire bytes by seq).
-  std::map<uint16_t, std::vector<uint8_t>> history_;
-  std::deque<uint16_t> history_order_;
+  // Retransmission history: the wire bytes of the last
+  // `retransmit_history` video packets sent, in send order. Slot i holds
+  // send number i mod capacity, so the newest is at history_next_ - 1 and
+  // a seq `d` behind the newest sits `d` slots before it (the packetizer
+  // numbers consecutively). Slots keep their buffers' capacity.
+  struct SentPacket {
+    uint16_t seq = 0;
+    std::vector<uint8_t> wire;
+  };
+  void RememberSent(uint16_t seq, std::span<const uint8_t> wire);
+  const SentPacket* FindSent(uint16_t seq) const;
+  std::vector<SentPacket> history_;
+  size_t history_next_ = 0;  // slot of the next packet sent
+  // The one RtpPacket every received media packet is parsed into.
+  rtp::RtpPacket rx_packet_;
 
   std::vector<std::unique_ptr<sim::PeriodicTask>> tasks_;
   std::map<uint64_t, util::TimeUs> stun_inflight_;  // tid hash -> send time

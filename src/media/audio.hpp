@@ -22,7 +22,9 @@ class AudioSource {
  public:
   explicit AudioSource(const AudioSourceConfig& cfg) : cfg_(cfg) {}
 
-  rtp::RtpPacket NextPacket(util::TimeUs now);
+  // The packet lives in the source and stays valid until the next call,
+  // which rewrites it in place (no allocation once warm).
+  const rtp::RtpPacket& NextPacket(util::TimeUs now);
 
   util::DurationUs frame_interval() const { return cfg_.frame_interval; }
   uint64_t packets_produced() const { return packets_produced_; }
@@ -30,6 +32,7 @@ class AudioSource {
 
  private:
   AudioSourceConfig cfg_;
+  rtp::RtpPacket packet_;
   uint16_t next_seq_ = 1;
   uint64_t packets_produced_ = 0;
 };

@@ -3,11 +3,17 @@
 namespace scallop::media {
 
 std::vector<uint8_t> EncodeAbsSendTime(util::TimeUs t) {
+  std::vector<uint8_t> out;
+  EncodeAbsSendTimeInto(t, out);
+  return out;
+}
+
+void EncodeAbsSendTimeInto(util::TimeUs t, std::vector<uint8_t>& out) {
   // 6.18 fixed point seconds, 24 bits total; wraps every 64 s.
   uint64_t fixed =
       (static_cast<uint64_t>(t) << 18) / 1'000'000 & 0xffffff;
-  return {static_cast<uint8_t>(fixed >> 16), static_cast<uint8_t>(fixed >> 8),
-          static_cast<uint8_t>(fixed)};
+  out.assign({static_cast<uint8_t>(fixed >> 16),
+              static_cast<uint8_t>(fixed >> 8), static_cast<uint8_t>(fixed)});
 }
 
 util::TimeUs DecodeAbsSendTime(std::span<const uint8_t> data) {
@@ -17,16 +23,17 @@ util::TimeUs DecodeAbsSendTime(std::span<const uint8_t> data) {
   return static_cast<util::TimeUs>((fixed * 1'000'000) >> 18);
 }
 
-std::vector<rtp::RtpPacket> Packetizer::Packetize(const EncodedFrame& frame,
-                                                  util::TimeUs send_time) {
-  std::vector<rtp::RtpPacket> packets;
+std::span<const rtp::RtpPacket> Packetizer::Packetize(
+    const EncodedFrame& frame, util::TimeUs send_time) {
   size_t remaining = frame.size_bytes;
   size_t n_packets = (remaining + cfg_.max_payload_bytes - 1) /
                      cfg_.max_payload_bytes;
   if (n_packets == 0) n_packets = 1;
+  if (packets_.size() < n_packets) packets_.resize(n_packets);
 
   for (size_t i = 0; i < n_packets; ++i) {
-    rtp::RtpPacket pkt;
+    // Every field is rewritten; only buffer capacity carries over.
+    rtp::RtpPacket& pkt = packets_[i];
     pkt.payload_type = cfg_.payload_type;
     pkt.sequence_number = next_seq_++;
     pkt.timestamp = util::ToRtpTimestamp90k(frame.capture_time);
@@ -43,18 +50,19 @@ std::vector<rtp::RtpPacket> Packetizer::Packetize(const EncodedFrame& frame,
       structure_pending_ = false;
       ++structures_sent_;
     }
-    pkt.SetExtension(cfg_.dd_extension_id, dd.Serialize());
-    pkt.SetExtension(cfg_.abs_send_time_id, EncodeAbsSendTime(send_time));
+    // The same two extension ids every time: rewritten in place.
+    dd.SerializeInto(pkt.MutableExtension(cfg_.dd_extension_id));
+    EncodeAbsSendTimeInto(send_time,
+                          pkt.MutableExtension(cfg_.abs_send_time_id));
 
     size_t chunk = std::min(cfg_.max_payload_bytes, remaining);
     if (chunk == 0) chunk = 1;  // zero-size guard for tiny frames
     remaining -= std::min(remaining, chunk);
     // Payload bytes are a recognizable fill pattern (content never parsed).
     pkt.payload.assign(chunk, static_cast<uint8_t>(frame.frame_number & 0xff));
-    packets.push_back(std::move(pkt));
     ++packets_produced_;
   }
-  return packets;
+  return {packets_.data(), n_packets};
 }
 
 }  // namespace scallop::media

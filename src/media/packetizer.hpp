@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "av1/dependency_descriptor.hpp"
@@ -18,6 +19,8 @@ namespace scallop::media {
 // timestamp GCC's receiver-side filter uses.
 constexpr uint8_t kAbsSendTimeExtensionId = 3;
 std::vector<uint8_t> EncodeAbsSendTime(util::TimeUs t);
+// Same bytes, written over `out` (reusing its capacity).
+void EncodeAbsSendTimeInto(util::TimeUs t, std::vector<uint8_t>& out);
 // Returns microseconds within the 64 s wrap window.
 util::TimeUs DecodeAbsSendTime(std::span<const uint8_t> data);
 
@@ -38,8 +41,10 @@ class Packetizer {
   // frame (or of the first key frame after ResendStructure()) carries the
   // extended dependency descriptor: the structure only changes when the
   // stream (re)starts or the resolution changes (paper §5.4 / Table 1).
-  std::vector<rtp::RtpPacket> Packetize(const EncodedFrame& frame,
-                                        util::TimeUs send_time);
+  // The packets live in the packetizer and stay valid until the next
+  // call, which rewrites them in place (no allocation once warm).
+  std::span<const rtp::RtpPacket> Packetize(const EncodedFrame& frame,
+                                            util::TimeUs send_time);
 
   // The next key frame will carry the extended descriptor again (sent
   // after PLI-triggered refreshes so the SFU can revalidate).
@@ -52,6 +57,8 @@ class Packetizer {
 
  private:
   PacketizerConfig cfg_;
+  // Never shrinks, so each packet keeps its buffers across frames.
+  std::vector<rtp::RtpPacket> packets_;
   uint16_t next_seq_ = 1;
   uint64_t packets_produced_ = 0;
   bool structure_pending_ = true;  // first key frame always carries it

@@ -72,16 +72,12 @@ void VideoReceiver::OnPacket(const rtp::RtpPacket& pkt, util::TimeUs arrival) {
   // the key-frame marker).
   bool key = dd->template_id == 0;
 
-  // `seen_` keys are bounded by `seen_max_`, so a seq beyond it cannot be
-  // a duplicate — the common in-order case skips the lookup entirely and
-  // appends with an end hint (O(1) for a monotone key).
-  auto existing = seq > seen_max_ ? seen_.end() : seen_.find(seq);
-  if (existing != seen_.end()) {
+  if (const SeenSlot* existing = FindSeen(seq)) {
     ++stats_.duplicate_packets;
     // Same sequence number, different frame content: this is the broken
     // rewrite the paper warns about — the decoder state is corrupted.
-    if (existing->second.first != frame ||
-        existing->second.second != dd->template_id) {
+    if (existing->frame != static_cast<uint32_t>(frame) ||
+        existing->template_id != dd->template_id) {
       ++stats_.conflicting_duplicates;
       if (!decoder_broken_) {
         decoder_broken_ = true;
@@ -91,29 +87,21 @@ void VideoReceiver::OnPacket(const rtp::RtpPacket& pkt, util::TimeUs arrival) {
     }
     return;
   }
-  if (seq > seen_max_) {
-    seen_.emplace_hint(seen_.end(), seq,
-                       std::make_pair(frame, dd->template_id));
-    seen_max_ = seq;
-  } else {
-    seen_.emplace(seq, std::make_pair(frame, dd->template_id));
-  }
-  while (!seen_.empty() && seen_.begin()->first < seq - 4096) {
-    seen_.erase(seen_.begin());
-  }
+  RememberSeen(seq, frame, dd->template_id);
 
   BufferedPacket info{frame,
                       dd->template_id,
                       dd->start_of_frame,
                       dd->end_of_frame,
                       key,
-                      pkt.payload.size(),
-                      arrival};
-  // Highest-so-far seqs (the in-order common case) append at the end.
-  if (seq > highest_seq_) {
-    buffer_.emplace_hint(buffer_.end(), seq, info);
-  } else {
-    buffer_.emplace(seq, info);
+                      pkt.payload.size()};
+  // In-order seqs append; a seq still buffered from beyond the duplicate
+  // window keeps its first entry.
+  if (buffer_.empty() || buffer_.back().seq < seq) {
+    buffer_.push_back(BufferedSeq{seq, frame});
+  } else if (auto it = BufferedFrom(seq);
+             it == buffer_.end() || it->seq != seq) {
+    buffer_.insert(it, BufferedSeq{seq, frame});
   }
 
   if (missing_.erase(seq) > 0) {
@@ -128,6 +116,81 @@ void VideoReceiver::OnPacket(const rtp::RtpPacket& pkt, util::TimeUs arrival) {
   TryDecode(arrival);
 }
 
+const VideoReceiver::SeenSlot* VideoReceiver::FindSeen(int64_t seq) const {
+  // Live keys lie in [seen_lo_, seen_max_]: the common in-order case
+  // (seq beyond seen_max_) skips the probe.
+  if (seq > seen_max_ || seq < seen_lo_ || seen_.empty()) return nullptr;
+  const SeenSlot& slot = seen_[static_cast<size_t>(seq) & (seen_.size() - 1)];
+  return slot.template_id != kFreeSlot && slot.seq == static_cast<uint32_t>(seq)
+             ? &slot
+             : nullptr;
+}
+
+void VideoReceiver::RememberSeen(int64_t seq, int64_t frame,
+                                 uint8_t template_id) {
+  // Age out every key below seq - kSeenWindow. The window never spans the
+  // capacity, so the walk visits at most one slot per live key, and
+  // clearing a slot unconditionally cannot hit another live key.
+  const int64_t cutoff = seq - kSeenWindow;
+  if (!seen_.empty() && cutoff > seen_lo_) {
+    const int64_t end = std::min(cutoff, seen_max_ + 1);
+    const size_t mask = seen_.size() - 1;
+    for (int64_t k = seen_lo_; k < end; ++k) {
+      seen_[static_cast<size_t>(k) & mask].template_id = kFreeSlot;
+    }
+    seen_lo_ = cutoff;
+  }
+  const int64_t lo = seen_.empty() ? seq : std::min(seen_lo_, seq);
+  const int64_t hi = seen_.empty() ? seq : std::max(seen_max_, seq);
+  if (hi - lo + 1 > static_cast<int64_t>(seen_.size())) GrowSeen(lo, hi);
+  seen_[static_cast<size_t>(seq) & (seen_.size() - 1)] =
+      SeenSlot{static_cast<uint32_t>(seq), static_cast<uint32_t>(frame),
+               template_id};
+  seen_lo_ = lo;
+  seen_max_ = hi;
+}
+
+void VideoReceiver::GrowSeen(int64_t lo, int64_t hi) {
+  size_t capacity = 64;
+  while (static_cast<int64_t>(capacity) < hi - lo + 1) capacity *= 2;
+  std::vector<SeenSlot> grown(capacity);
+  for (const SeenSlot& slot : seen_) {
+    if (slot.template_id == kFreeSlot) continue;
+    // Rebuild the full key from its low bits: it lies in [seen_lo_, hi].
+    const int64_t key =
+        seen_lo_ + static_cast<uint32_t>(slot.seq -
+                                         static_cast<uint32_t>(seen_lo_));
+    grown[static_cast<size_t>(key) & (capacity - 1)] = slot;
+  }
+  seen_ = std::move(grown);
+}
+
+VideoReceiver::PendingFrame& VideoReceiver::PendingFor(int64_t frame_number) {
+  if (pending_frames_.empty() || pending_frames_.back().first < frame_number) {
+    return pending_frames_.emplace_back(frame_number, PendingFrame{}).second;
+  }
+  auto it = FindPending(frame_number);
+  if (it == pending_frames_.end() || it->first != frame_number) {
+    it = pending_frames_.emplace(it, frame_number, PendingFrame{});
+  }
+  return it->second;
+}
+
+std::vector<VideoReceiver::BufferedSeq>::iterator VideoReceiver::BufferedFrom(
+    int64_t seq) {
+  return std::lower_bound(
+      buffer_.begin(), buffer_.end(), seq,
+      [](const BufferedSeq& b, int64_t s) { return b.seq < s; });
+}
+
+// First pending frame numbered >= `frame_number`.
+std::vector<std::pair<int64_t, VideoReceiver::PendingFrame>>::iterator
+VideoReceiver::FindPending(int64_t frame_number) {
+  return std::lower_bound(
+      pending_frames_.begin(), pending_frames_.end(), frame_number,
+      [](const auto& e, int64_t f) { return e.first < f; });
+}
+
 void VideoReceiver::DetectGaps(int64_t seq, util::TimeUs now) {
   if (highest_seq_ < 0) {
     highest_seq_ = seq;
@@ -137,7 +200,11 @@ void VideoReceiver::DetectGaps(int64_t seq, util::TimeUs now) {
     // Record the gap; the first NACK goes out from OnTick once the packet
     // has been missing longer than the reorder tolerance.
     for (int64_t s = highest_seq_ + 1; s < seq; ++s) {
-      if (buffer_.count(s) || abandoned_.count(s)) continue;
+      auto buffered = BufferedFrom(s);
+      if ((buffered != buffer_.end() && buffered->seq == s) ||
+          abandoned_.count(s)) {
+        continue;
+      }
       missing_.emplace(s, MissingPacket{now, 0, 0});
     }
   }
@@ -145,7 +212,7 @@ void VideoReceiver::DetectGaps(int64_t seq, util::TimeUs now) {
 }
 
 void VideoReceiver::AssembleFrame(int64_t seq, const BufferedPacket& info) {
-  PendingFrame& f = pending_frames_[info.frame_number];
+  PendingFrame& f = PendingFor(info.frame_number);
   if (info.start_of_frame) f.start_seq = seq;
   if (info.end_of_frame) f.end_seq = seq;
   f.template_id = info.template_id;
@@ -165,14 +232,13 @@ void VideoReceiver::TryDecode(util::TimeUs now) {
   bool progress = true;
   while (progress && !pending_frames_.empty()) {
     progress = false;
-    auto it = pending_frames_.begin();
-    int64_t frame_number = it->first;
-    PendingFrame& f = it->second;
+    const int64_t frame_number = pending_frames_.front().first;
+    const PendingFrame& f = pending_frames_.front().second;
 
     if (f.failed) {
       ++stats_.frames_undecodable;
       waiting_for_key_frame_ = true;
-      pending_frames_.erase(it);
+      pending_frames_.erase(pending_frames_.begin());
       progress = true;
       continue;
     }
@@ -185,11 +251,10 @@ void VideoReceiver::TryDecode(util::TimeUs now) {
             return kv.second.key_frame && FrameComplete(kv.second);
           });
       if (key_it != pending_frames_.end() && key_it->first > frame_number) {
-        // Drop everything before the key frame.
-        for (auto drop = pending_frames_.begin(); drop != key_it;) {
-          ++stats_.frames_undecodable;
-          drop = pending_frames_.erase(drop);
-        }
+        // Drop everything before the key frame, in one erase.
+        stats_.frames_undecodable +=
+            static_cast<uint64_t>(key_it - pending_frames_.begin());
+        pending_frames_.erase(pending_frames_.begin(), key_it);
         progress = true;
         continue;
       }
@@ -203,57 +268,76 @@ void VideoReceiver::TryDecode(util::TimeUs now) {
       waiting_for_key_frame_ = false;
       DecodeFrame(frame_number, f, now);
       ++stats_.key_frames_decoded;
-      pending_frames_.erase(it);
+      pending_frames_.erase(pending_frames_.begin());
       progress = true;
       continue;
     }
     if (decoder_broken_ || waiting_for_key_frame_) {
       ++stats_.frames_undecodable;
-      pending_frames_.erase(it);
+      pending_frames_.erase(pending_frames_.begin());
       progress = true;
       continue;
     }
 
     int dist = av1::L1T3Pattern::DependencyDistance(f.template_id, false);
     int64_t dep = frame_number - dist;
-    bool dep_ok = decoded_frames_.count(dep) > 0 || dep <= 0;
+    bool dep_ok =
+        dep <= 0 || std::binary_search(decoded_frames_.begin(),
+                                       decoded_frames_.end(), dep);
     if (dep_ok) {
       DecodeFrame(frame_number, f, now);
-      pending_frames_.erase(it);
+      pending_frames_.erase(pending_frames_.begin());
       progress = true;
       continue;
     }
     // Dependency not decoded. If it can still arrive (newer than anything
     // assembled), wait; otherwise the frame is permanently undecodable.
-    bool dep_pending = pending_frames_.count(dep) > 0;
-    if (dep_pending) break;
+    auto dep_it = FindPending(dep);
+    if (dep_it != pending_frames_.end() && dep_it->first == dep) break;
     ++stats_.frames_undecodable;
     waiting_for_key_frame_ = true;
-    pending_frames_.erase(it);
+    pending_frames_.erase(pending_frames_.begin());
     progress = true;
   }
 }
 
 void VideoReceiver::DecodeFrame(int64_t frame_number, const PendingFrame& f,
                                 util::TimeUs now) {
-  decoded_frames_.insert(frame_number);
+  if (decoded_frames_.empty() || decoded_frames_.back() < frame_number) {
+    decoded_frames_.push_back(frame_number);
+  } else {
+    auto it = std::lower_bound(decoded_frames_.begin(), decoded_frames_.end(),
+                               frame_number);
+    if (*it != frame_number) decoded_frames_.insert(it, frame_number);
+  }
   last_decoded_frame_ = std::max(last_decoded_frame_, frame_number);
-  PruneDecodedSet(frame_number - 64);
+  // Keep decodes within 64 frames of this one.
+  decoded_frames_.erase(
+      decoded_frames_.begin(),
+      std::lower_bound(decoded_frames_.begin(), decoded_frames_.end(),
+                       frame_number - 64));
   ++stats_.frames_decoded;
   last_decode_time_ = now;
   fps_series_.Add(now, 1.0);
-  decode_times_[frame_number] = now;
-  while (decode_times_.size() > 256) decode_times_.erase(decode_times_.begin());
+  if (decode_times_.empty() || decode_times_.back().first < frame_number) {
+    decode_times_.emplace_back(frame_number, now);
+  } else {
+    auto it = std::lower_bound(
+        decode_times_.begin(), decode_times_.end(), frame_number,
+        [](const auto& e, int64_t fn) { return e.first < fn; });
+    if (it->first == frame_number) {
+      it->second = now;
+    } else {
+      decode_times_.emplace(it, frame_number, now);
+    }
+  }
+  if (decode_times_.size() > 256) {
+    decode_times_.erase(decode_times_.begin(),
+                        decode_times_.end() - 256);
+  }
   // Drop packet buffer entries for this frame.
   if (f.start_seq >= 0 && f.end_seq >= f.start_seq) {
-    for (int64_t s = f.start_seq; s <= f.end_seq; ++s) buffer_.erase(s);
-  }
-}
-
-void VideoReceiver::PruneDecodedSet(int64_t below) {
-  auto it = decoded_frames_.begin();
-  while (it != decoded_frames_.end() && *it < below) {
-    it = decoded_frames_.erase(it);
+    buffer_.erase(BufferedFrom(f.start_seq), BufferedFrom(f.end_seq + 1));
   }
 }
 
@@ -272,12 +356,9 @@ void VideoReceiver::OnTick(util::TimeUs now) {
       ++stats_.abandoned_packets;
       int64_t frame_lo = 0;
       int64_t frame_hi = max_seen_frame_;
-      auto above = buffer_.upper_bound(seq);
-      if (above != buffer_.end()) frame_hi = above->second.frame_number;
-      if (above != buffer_.begin()) {
-        auto below = std::prev(above);
-        frame_lo = below->second.frame_number;
-      }
+      auto above = BufferedFrom(seq + 1);
+      if (above != buffer_.end()) frame_hi = above->frame_number;
+      if (above != buffer_.begin()) frame_lo = std::prev(above)->frame_number;
       for (auto& [fn, f] : pending_frames_) {
         if (fn >= frame_lo && fn <= frame_hi && !FrameComplete(f)) {
           f.failed = true;

@@ -4,13 +4,16 @@
 //   - a sequence gap looks like network loss -> retransmission requests;
 //   - a duplicate/incorrectly rewritten sequence number breaks decoder
 //     state -> freeze until the next key frame (paper §6.2).
+// The per-packet state is contiguous: a seq-indexed ring for the duplicate
+// window and sorted flat vectors (append fast path) for the packet buffer,
+// pending frames and decode history, so an in-order packet allocates
+// nothing once the containers have grown.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <unordered_set>
 #include <vector>
 
@@ -116,7 +119,6 @@ class VideoReceiver {
     bool end_of_frame;
     bool key_frame;
     size_t size;
-    util::TimeUs arrival;
   };
   struct MissingPacket {
     util::TimeUs first_detected;
@@ -132,14 +134,37 @@ class VideoReceiver {
     size_t bytes = 0;
     bool failed = false;
   };
+  // One duplicate-window entry: the low 32 bits of the unwrapped seq and
+  // frame number (live keys never span 2^32), and the template id.
+  struct SeenSlot {
+    uint32_t seq = 0;
+    uint32_t frame = 0;
+    uint8_t template_id = kFreeSlot;
+  };
+  static constexpr uint8_t kFreeSlot = 0xff;  // template ids are 6 bits
+  // A seq leaves the duplicate window when a later non-duplicate packet
+  // is more than this far ahead of it.
+  static constexpr int64_t kSeenWindow = 4096;
+  struct BufferedSeq {
+    int64_t seq;
+    int64_t frame_number;
+  };
 
+  // The duplicate-window slot holding `seq`, or nullptr.
+  const SeenSlot* FindSeen(int64_t seq) const;
+  void RememberSeen(int64_t seq, int64_t frame, uint8_t template_id);
+  void GrowSeen(int64_t lo, int64_t hi);
+  // First buffered entry with seq >= `seq`.
+  std::vector<BufferedSeq>::iterator BufferedFrom(int64_t seq);
+  PendingFrame& PendingFor(int64_t frame_number);
+  std::vector<std::pair<int64_t, PendingFrame>>::iterator FindPending(
+      int64_t frame_number);
   void DetectGaps(int64_t unwrapped_seq, util::TimeUs now);
   void AssembleFrame(int64_t seq, const BufferedPacket& info);
   bool FrameComplete(const PendingFrame& f) const;
   void TryDecode(util::TimeUs now);
   void DecodeFrame(int64_t frame_number, const PendingFrame& f,
                    util::TimeUs now);
-  void PruneDecodedSet(int64_t below);
 
   VideoReceiverConfig cfg_;
   SendNackFn send_nack_;
@@ -148,17 +173,30 @@ class VideoReceiver {
   util::SeqUnwrapper seq_unwrap_;
   util::SeqUnwrapper frame_unwrap_;
   int64_t highest_seq_ = -1;
-  std::map<int64_t, BufferedPacket> buffer_;
-  // History of (frame, template) per received seq for duplicate detection;
-  // outlives buffer_ entries, pruned by distance from highest_seq_.
-  std::map<int64_t, std::pair<int64_t, uint8_t>> seen_;
+
+  // Received seqs -> frame number, sorted by seq; in-order packets append.
+  // An entry leaves only when its frame decodes, so the packets of failed
+  // and undecodable frames stay: OnTick bounds an abandoned seq's frame
+  // range by its nearest buffered neighbours.
+  std::vector<BufferedSeq> buffer_;
+  // Duplicate window: (frame, template) per received seq, indexed by
+  // seq & (size - 1). Every live key lies in [seen_lo_, seen_max_], a span
+  // no wider than the power-of-two capacity, so live keys never share a
+  // slot; a slot not marked free holds a live key. It grows on demand (a short leg
+  // stays small) and never shrinks. A key leaves only when a later
+  // non-duplicate packet is more than kSeenWindow ahead of it, so a very
+  // late packet re-enters the window and stays detectable as a duplicate
+  // until the next newer packet.
+  std::vector<SeenSlot> seen_;
+  int64_t seen_lo_ = 0;    // lower bound of the live keys
+  int64_t seen_max_ = -1;  // highest key ever inserted
   std::map<int64_t, MissingPacket> missing_;
   std::unordered_set<int64_t> abandoned_;
-  std::map<int64_t, PendingFrame> pending_frames_;
-  int64_t seen_max_ = -1;  // highest key ever inserted into seen_
-  // Ordered so pruning can erase the aged prefix and stop at the first
-  // survivor instead of walking the whole set per decoded frame.
-  std::set<int64_t> decoded_frames_;
+  // Frames being assembled, sorted by frame number; new frames append.
+  std::vector<std::pair<int64_t, PendingFrame>> pending_frames_;
+  // Decoded frame numbers, sorted; each decode drops those more than 64
+  // below it (enough for the L1T3 dependency check).
+  std::vector<int64_t> decoded_frames_;
   int64_t max_seen_frame_ = -1;
   int64_t last_decoded_frame_ = -1;
 
@@ -176,7 +214,8 @@ class VideoReceiver {
   // Indexed directly by template id (6 bits on the wire): this is touched
   // once per video packet, and a flat array beats a map lookup.
   std::array<PerSecondSeries, 64> template_bytes_;
-  std::map<int64_t, util::TimeUs> decode_times_;  // frame -> decode time
+  // (frame, decode time) of the 256 highest decoded frames, sorted.
+  std::vector<std::pair<int64_t, util::TimeUs>> decode_times_;
 };
 
 // Audio receive statistics (no NACK/PLI for audio).

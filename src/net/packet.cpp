@@ -41,6 +41,44 @@ struct PoolDeleter {
   void operator()(Packet* p) const { Pool().Put(p); }
 };
 
+// Allocates the shared_ptr control blocks of pooled packets from a
+// freelist of its own, so handing out a packet allocates nothing once the
+// pools are warm. Leaked like the packet pool, for the same reason.
+template <typename T>
+struct ControlBlockAllocator {
+  using value_type = T;
+  ControlBlockAllocator() = default;
+  template <typename U>
+  ControlBlockAllocator(const ControlBlockAllocator<U>&) {}
+
+  T* allocate(size_t n) {
+    std::vector<T*>& free = Free();
+    if (n != 1 || free.empty()) return std::allocator<T>().allocate(n);
+    T* p = free.back();
+    free.pop_back();
+    return p;
+  }
+  void deallocate(T* p, size_t n) {
+    std::vector<T*>& free = Free();
+    if (n != 1 || free.size() >= kMaxFreeBlocks) {
+      std::allocator<T>().deallocate(p, n);
+      return;
+    }
+    free.push_back(p);
+  }
+  template <typename U>
+  bool operator==(const ControlBlockAllocator<U>&) const {
+    return true;
+  }
+
+ private:
+  static constexpr size_t kMaxFreeBlocks = 16384;
+  static std::vector<T*>& Free() {
+    static auto* free = new std::vector<T*>();
+    return *free;
+  }
+};
+
 }  // namespace
 
 PacketPtr AcquirePacket() {
@@ -48,7 +86,7 @@ PacketPtr AcquirePacket() {
   p->sent_at = 0;
   p->arrival = 0;
   p->ingress_port = 0;
-  return PacketPtr(p, PoolDeleter{});
+  return PacketPtr(p, PoolDeleter{}, ControlBlockAllocator<Packet>{});
 }
 
 PacketPtr ClonePacket(const Packet& p) {

@@ -33,7 +33,13 @@ size_t RtpPacket::SerializedSize() const {
 }
 
 std::vector<uint8_t> RtpPacket::Serialize() const {
-  ByteWriter w(SerializedSize());
+  std::vector<uint8_t> out;
+  SerializeInto(out);
+  return out;
+}
+
+void RtpPacket::SerializeInto(std::vector<uint8_t>& out) const {
+  ByteWriter w(std::move(out), SerializedSize());
   bool has_ext = !extensions.empty();
   w.WriteU8(static_cast<uint8_t>(kRtpVersion << 6 | (has_ext ? 0x10 : 0) |
                                  (csrcs.size() & 0x0f)));
@@ -65,16 +71,21 @@ std::vector<uint8_t> RtpPacket::Serialize() const {
   }
 
   w.WriteBytes(payload);
-  return std::move(w).Take();
+  out = std::move(w).Take();
 }
 
 std::optional<RtpPacket> RtpPacket::Parse(std::span<const uint8_t> data) {
+  RtpPacket pkt;
+  if (!ParseInto(data, pkt)) return std::nullopt;
+  return pkt;
+}
+
+bool RtpPacket::ParseInto(std::span<const uint8_t> data, RtpPacket& pkt) {
   ByteReader r(data);
   uint8_t b0 = r.ReadU8();
   uint8_t b1 = r.ReadU8();
-  if (!r.ok() || (b0 >> 6) != kRtpVersion) return std::nullopt;
+  if (!r.ok() || (b0 >> 6) != kRtpVersion) return false;
 
-  RtpPacket pkt;
   bool has_padding = (b0 & 0x20) != 0;
   bool has_ext = (b0 & 0x10) != 0;
   uint8_t cc = b0 & 0x0f;
@@ -83,14 +94,25 @@ std::optional<RtpPacket> RtpPacket::Parse(std::span<const uint8_t> data) {
   pkt.sequence_number = r.ReadU16();
   pkt.timestamp = r.ReadU32();
   pkt.ssrc = r.ReadU32();
+  pkt.csrcs.clear();
   for (int i = 0; i < cc; ++i) pkt.csrcs.push_back(r.ReadU32());
-  if (!r.ok()) return std::nullopt;
+  if (!r.ok()) return false;
 
+  // Extensions overwrite the target's existing entries in place, so their
+  // data buffers keep their capacity from packet to packet.
+  size_t n_ext = 0;
+  auto add_extension = [&pkt, &n_ext](uint8_t id,
+                                      std::span<const uint8_t> bytes) {
+    if (n_ext == pkt.extensions.size()) pkt.extensions.emplace_back();
+    RtpExtension& e = pkt.extensions[n_ext++];
+    e.id = id;
+    e.data.assign(bytes.begin(), bytes.end());
+  };
   if (has_ext) {
     uint16_t profile = r.ReadU16();
     uint16_t words = r.ReadU16();
     auto ext_data = r.ReadBytes(static_cast<size_t>(words) * 4);
-    if (!r.ok()) return std::nullopt;
+    if (!r.ok()) return false;
     ByteReader er(ext_data);
     pkt.extensions.reserve(4);  // one growth step covers typical packets
     if (profile == kOneByteExtProfile) {
@@ -101,9 +123,8 @@ std::optional<RtpPacket> RtpPacket::Parse(std::span<const uint8_t> data) {
         size_t len = static_cast<size_t>(hdr & 0x0f) + 1;
         if (id == 15) break;  // reserved: stop parsing
         auto bytes = er.ReadBytes(len);
-        if (!er.ok()) return std::nullopt;
-        pkt.extensions.push_back(
-            RtpExtension{id, std::vector<uint8_t>(bytes.begin(), bytes.end())});
+        if (!er.ok()) return false;
+        add_extension(id, bytes);
       }
     } else if (profile == kTwoByteExtProfile) {
       while (er.remaining() > 1) {
@@ -111,13 +132,13 @@ std::optional<RtpPacket> RtpPacket::Parse(std::span<const uint8_t> data) {
         if (id == 0) continue;  // padding
         size_t len = er.ReadU8();
         auto bytes = er.ReadBytes(len);
-        if (!er.ok()) return std::nullopt;
-        pkt.extensions.push_back(
-            RtpExtension{id, std::vector<uint8_t>(bytes.begin(), bytes.end())});
+        if (!er.ok()) return false;
+        add_extension(id, bytes);
       }
     }
     // Unknown profiles: extension data skipped, still a valid packet.
   }
+  pkt.extensions.resize(n_ext);
 
   size_t payload_len = r.remaining();
   if (has_padding && payload_len > 0) {
@@ -125,9 +146,9 @@ std::optional<RtpPacket> RtpPacket::Parse(std::span<const uint8_t> data) {
     if (pad <= payload_len) payload_len -= pad;
   }
   auto body = r.ReadBytes(payload_len);
-  if (!r.ok()) return std::nullopt;
+  if (!r.ok()) return false;
   pkt.payload.assign(body.begin(), body.end());
-  return pkt;
+  return true;
 }
 
 const RtpExtension* RtpPacket::FindExtension(uint8_t id) const {
@@ -138,13 +159,14 @@ const RtpExtension* RtpPacket::FindExtension(uint8_t id) const {
 }
 
 void RtpPacket::SetExtension(uint8_t id, std::vector<uint8_t> data) {
+  MutableExtension(id) = std::move(data);
+}
+
+std::vector<uint8_t>& RtpPacket::MutableExtension(uint8_t id) {
   for (auto& e : extensions) {
-    if (e.id == id) {
-      e.data = std::move(data);
-      return;
-    }
+    if (e.id == id) return e.data;
   }
-  extensions.push_back(RtpExtension{id, std::move(data)});
+  return extensions.emplace_back(RtpExtension{id, {}}).data;
 }
 
 bool PatchSequenceNumber(std::span<uint8_t> wire, uint16_t new_seq) {

@@ -35,11 +35,20 @@ struct RtpPacket {
   // Serializes to wire bytes. Chooses one-byte extension headers when all
   // extensions fit (id<=14, len<=16), two-byte otherwise.
   std::vector<uint8_t> Serialize() const;
+  // Same bytes, written over `out` (reusing its capacity).
+  void SerializeInto(std::vector<uint8_t>& out) const;
 
   static std::optional<RtpPacket> Parse(std::span<const uint8_t> data);
+  // Parses into `out`, reusing its vectors' capacity (the per-packet
+  // receive path parses every packet into one long-lived RtpPacket).
+  // Returns false on malformed input, leaving `out` unspecified.
+  static bool ParseInto(std::span<const uint8_t> data, RtpPacket& out);
 
   const RtpExtension* FindExtension(uint8_t id) const;
   void SetExtension(uint8_t id, std::vector<uint8_t> data);
+  // The data of extension `id`, appended empty when absent: writing into
+  // it reuses the buffer of a packet that already carries the extension.
+  std::vector<uint8_t>& MutableExtension(uint8_t id);
 
   // Size the packet would occupy on the wire.
   size_t SerializedSize() const;

@@ -57,29 +57,46 @@ void Link::Send(net::PacketPtr pkt, DeliverFn deliver,
     extra += cfg_.reorder_delay;
   }
 
+  // Never before now: tx_end >= now and both delays are non-negative.
   util::TimeUs arrival = tx_end + cfg_.prop_delay + extra;
-  uint32_t idx;
-  if (!flight_free_.empty()) {
-    idx = flight_free_.back();
-    flight_free_.pop_back();
-  } else {
-    idx = static_cast<uint32_t>(flights_.size());
-    flights_.emplace_back();
+  const uint64_t seq = sched_.ReserveBatchSeq();
+  if (count_ == ring_.size()) Grow();
+  // Insert from the tail: the new flight has the newest seq, so it goes
+  // behind every flight arriving no later than it (O(1) when in order).
+  size_t pos = count_++;
+  for (; pos > 0 && FlightAt(pos - 1).arrival > arrival; --pos) {
+    FlightAt(pos) = std::move(FlightAt(pos - 1));
   }
-  Flight& f = flights_[idx];
+  Flight& f = FlightAt(pos);
+  f.arrival = arrival;
+  f.seq = seq;
+  f.armed = false;
   f.pkt = std::move(pkt);
   f.deliver = std::move(deliver);
-  f.arrival = arrival;
-  // BatchAt: deliveries are never cancelled, and batching them collapses
-  // fan-out bursts into one event-queue operation.
-  sched_.BatchAt(arrival, [this, idx] { Deliver(idx); });
+  if (pos == 0) ArmHead();
 }
 
-void Link::Deliver(uint32_t idx) {
-  net::PacketPtr pkt = std::move(flights_[idx].pkt);
-  DeliverFn deliver = std::move(flights_[idx].deliver);
-  util::TimeUs arrival = flights_[idx].arrival;
-  flight_free_.push_back(idx);
+void Link::ArmHead() {
+  Flight& head = ring_[head_];
+  head.armed = true;
+  sched_.ArmBatch(head.arrival, head.seq, this);
+}
+
+void Link::Grow() {
+  std::vector<Flight> grown(ring_.empty() ? 16 : 2 * ring_.size());
+  for (size_t i = 0; i < count_; ++i) grown[i] = std::move(FlightAt(i));
+  ring_ = std::move(grown);
+  head_ = 0;
+}
+
+void Link::OnBatch(uint32_t /*tag*/) {
+  Flight& f = ring_[head_];
+  net::PacketPtr pkt = std::move(f.pkt);
+  DeliverFn deliver = std::move(f.deliver);
+  const util::TimeUs arrival = f.arrival;
+  head_ = (head_ + 1) & (ring_.size() - 1);
+  // Arm the next head before delivering: `deliver` may send on this link.
+  if (--count_ > 0 && !ring_[head_].armed) ArmHead();
   ++stats_.delivered_packets;
   stats_.delivered_bytes += pkt->wire_size();
   pkt->arrival = arrival;

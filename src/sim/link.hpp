@@ -1,6 +1,14 @@
 // Unidirectional link with serialization rate, propagation delay, random
 // jitter, iid loss, reordering, and a drop-tail queue. Capacity and loss can
 // change at runtime (used to emulate congested downlinks in Fig. 14).
+//
+// In-flight packets wait in a ring sorted by (arrival, seq), where seq is
+// the scheduler sequence number reserved when Send accepted the packet.
+// The link is a Scheduler::BatchSource: the ring's head is always armed in
+// the scheduler's batch heap with its own key, so deliveries fire in the
+// same global (when, seq) order as one At event per packet would, while
+// the link itself adds no per-packet closure and, once the ring has grown,
+// no allocation.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +41,15 @@ struct LinkStats {
   uint64_t delivered_bytes = 0;
 };
 
-class Link {
+class Link : private Scheduler::BatchSource {
  public:
   using DeliverFn = std::function<void(net::PacketPtr)>;
 
   Link(Scheduler& sched, LinkConfig cfg, uint64_t seed);
+  // The scheduler's batch heap holds the link's address while packets are
+  // in flight.
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   // Enqueues the packet; on delivery calls `deliver` at the arrival time.
   // `depart_at` (if ahead of now) defers the start of serialization — the
@@ -60,24 +72,34 @@ class Link {
   size_t QueuedBytes() const;
 
  private:
-  void Deliver(uint32_t idx);
-
-  // In-flight packets live in a slab so the scheduled delivery closure
-  // captures only {this, idx} — small enough for std::function's inline
-  // buffer, so the per-packet path never heap-allocates.
   struct Flight {
+    util::TimeUs arrival = 0;
+    uint64_t seq = 0;
+    bool armed = false;  // already staged in the scheduler's batch heap
     net::PacketPtr pkt;
     DeliverFn deliver;
-    util::TimeUs arrival = 0;
   };
+
+  // Delivers the head flight (Scheduler::BatchSource).
+  void OnBatch(uint32_t tag) override;
+  Flight& FlightAt(size_t i) { return ring_[(head_ + i) & (ring_.size() - 1)]; }
+  void ArmHead();
+  void Grow();
 
   Scheduler& sched_;
   LinkConfig cfg_;
   util::Rng rng_;
   util::TimeUs busy_until_ = 0;
   LinkStats stats_;
-  std::vector<Flight> flights_;
-  std::vector<uint32_t> flight_free_;
+  // Sorted by (arrival, seq) from head_. Capacity is a power of two. A
+  // flight is armed once: when it first becomes the head. A later send
+  // that sorts ahead of it (jitter, reordering, a cut propagation delay,
+  // an earlier depart_at) becomes the new armed head, and the displaced
+  // flight's entry stays valid — it carries that flight's exact key, and
+  // the batch heap can only fire it once everything before it has fired.
+  std::vector<Flight> ring_;
+  size_t head_ = 0;
+  size_t count_ = 0;
 };
 
 }  // namespace scallop::sim

@@ -50,18 +50,31 @@ bool Scheduler::TryRunInline(util::TimeUs when, uint64_t seq) {
   return true;
 }
 
+uint32_t Scheduler::ClosureBatch::Add(EventFn fn) {
+  if (!free_.empty()) {
+    uint32_t idx = free_.back();
+    free_.pop_back();
+    fns_[idx] = std::move(fn);
+    return idx;
+  }
+  fns_.push_back(std::move(fn));
+  return static_cast<uint32_t>(fns_.size() - 1);
+}
+
+void Scheduler::ClosureBatch::OnBatch(uint32_t tag) {
+  EventFn fn = std::move(fns_[tag]);
+  free_.push_back(tag);
+  fn();
+}
+
 void Scheduler::BatchAt(util::TimeUs when, EventFn fn) {
   if (when < now_) when = now_;
-  uint32_t idx;
-  if (!batch_fn_free_.empty()) {
-    idx = batch_fn_free_.back();
-    batch_fn_free_.pop_back();
-    batch_fns_[idx] = std::move(fn);
-  } else {
-    idx = static_cast<uint32_t>(batch_fns_.size());
-    batch_fns_.push_back(std::move(fn));
-  }
-  batch_.push(BatchEntry{when, next_seq_++, idx});
+  ArmBatch(when, ReserveBatchSeq(), &closures_, closures_.Add(std::move(fn)));
+}
+
+void Scheduler::ArmBatch(util::TimeUs when, uint64_t seq, BatchSource* source,
+                         uint32_t tag) {
+  batch_.push(BatchEntry{when, seq, source, tag});
   // Inside BatchWake the drain loop re-syncs on exit; re-arming here would
   // race it and double-fire.
   if (!in_batch_wake_) SyncBatchWake();
@@ -93,9 +106,8 @@ void Scheduler::BatchWake() {
     const BatchEntry front = batch_.top();
     if (!TryRunInline(front.when, front.seq)) break;
     batch_.pop();
-    EventFn fn = std::move(batch_fns_[front.fn_idx]);
-    batch_fn_free_.push_back(front.fn_idx);
-    fn();
+    --batch_staged_;
+    front.source->OnBatch(front.tag);
   }
   in_batch_wake_ = false;
   SyncBatchWake();
@@ -169,7 +181,7 @@ PeriodicTask::PeriodicTask(Scheduler& sched, util::DurationUs period,
   state_->sched = &sched;
   state_->period = period;
   state_->fn = std::move(fn);
-  Arm(state_);
+  Arm(state_.get());
 }
 
 PeriodicTask::~PeriodicTask() { Cancel(); }
@@ -182,17 +194,16 @@ void PeriodicTask::Cancel() {
   }
 }
 
-void PeriodicTask::Arm(const std::shared_ptr<State>& state) {
-  std::weak_ptr<State> weak = state;
-  state->pending_id = state->sched->After(state->period, [weak] {
-    std::shared_ptr<State> s = weak.lock();
-    if (!s || s->cancelled) return;
+void PeriodicTask::Arm(State* state) {
+  state->pending_id = state->sched->After(state->period, [state] {
+    std::shared_ptr<State> s = state->shared_from_this();
+    if (s->cancelled) return;
     s->pending_id = 0;
     // `fn` may Cancel() this task or destroy it outright: `s` keeps the
     // state alive through the call, and the re-check catches a Cancel
     // issued anywhere inside fn's call graph (including nested RunUntil
     // callbacks) after the entry check already passed.
-    if (s->fn() && !s->cancelled) Arm(s);
+    if (s->fn() && !s->cancelled) Arm(s.get());
   });
 }
 

@@ -34,14 +34,42 @@ class Scheduler {
   // handles, so a stale id can never hit a later event reusing the slot.
   void Cancel(uint64_t id);
 
-  // Batched one-shot events — the packet-delivery fast path. Semantically
-  // identical to At (same clamping, same FIFO-among-equal-times order,
-  // interleaved exactly with At events by a shared sequence counter), but
-  // not cancellable. Entries stage in a side heap that keeps only ONE
-  // main-queue event armed — carrying the earliest entry's (when, seq);
-  // when it fires, every staged entry that would have been the
-  // immediately-next event anyway runs inline, so a burst of N deliveries
-  // costs one main-heap push+pop instead of N.
+  // Batched one-shot events — the packet-delivery fast path. A batched
+  // event is semantically identical to an At event (same FIFO-among-
+  // equal-times order, interleaved exactly with At events by the shared
+  // sequence counter) but not cancellable. Staged entries wait in a side
+  // heap that keeps only ONE main-queue event armed — carrying the
+  // earliest entry's (when, seq); when it fires, every staged entry that
+  // would have been the immediately-next event anyway runs inline, so a
+  // burst of N deliveries costs one main-heap push+pop instead of N.
+  //
+  // A BatchSource owns a stream of such events and stages them itself:
+  // it reserves each event's sequence number with ReserveBatchSeq at the
+  // moment the event is submitted (that fixes its place among equal
+  // times), and arms it with ArmBatch no later than when it becomes the
+  // source's earliest pending event. The side heap then merges the
+  // sources' streams in global (when, seq) order — a k-way merge — while
+  // the payloads stay with the source, so no per-event closure exists.
+  // Contract: every reserved event is armed exactly once with its own
+  // key, `when` is not earlier than now(), and the source outlives its
+  // armed events.
+  class BatchSource {
+   public:
+    // Runs the staged event armed with `tag`: always the source's
+    // earliest pending event.
+    virtual void OnBatch(uint32_t tag) = 0;
+
+   protected:
+    ~BatchSource() = default;
+  };
+  uint64_t ReserveBatchSeq() {
+    ++batch_staged_;
+    return next_seq_++;
+  }
+  void ArmBatch(util::TimeUs when, uint64_t seq, BatchSource* source,
+                uint32_t tag = 0);
+
+  // One-off batched closure; `when` is clamped to now.
   void BatchAt(util::TimeUs when, EventFn fn);
   void BatchAfter(util::DurationUs delay, EventFn fn) {
     BatchAt(now_ + delay, std::move(fn));
@@ -55,8 +83,8 @@ class Scheduler {
   bool empty() const { return pending() == 0; }
   size_t pending() const {
     // The armed batch wake stands in for the front staged entry; count the
-    // staged entries themselves instead of double-counting it.
-    return queue_.size() - cancelled_in_queue_ + batch_.size() -
+    // staged events themselves (armed or not) instead of double-counting it.
+    return queue_.size() - cancelled_in_queue_ + batch_staged_ -
            (batch_wake_id_ != 0 ? 1 : 0);
   }
 
@@ -84,12 +112,23 @@ class Scheduler {
     bool armed = false;
   };
 
-  // Staged entries keep only a slab index so the heap sifts 24-byte PODs;
-  // the callables live in batch_fns_ (slot recycled on fire).
+  // Armed batched events: the heap sifts 32-byte PODs; payloads stay with
+  // their source.
   struct BatchEntry {
     util::TimeUs when;
     uint64_t seq;
-    uint32_t fn_idx;
+    BatchSource* source;
+    uint32_t tag;
+  };
+  // The source behind BatchAt: closures in a slab, tag = slab index.
+  class ClosureBatch final : public BatchSource {
+   public:
+    uint32_t Add(EventFn fn);
+    void OnBatch(uint32_t tag) override;
+
+   private:
+    std::vector<EventFn> fns_;
+    std::vector<uint32_t> free_;
   };
 
   uint32_t AcquireSlot();
@@ -118,11 +157,13 @@ class Scheduler {
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   size_t cancelled_in_queue_ = 0;
-  // Staging heap for BatchAt. Invariant outside BatchWake: batch_
-  // non-empty => batch_wake_id_ armed with key == batch_.top()'s key.
+  // Staging heap of armed batched events. Invariant outside BatchWake:
+  // batch_ non-empty => batch_wake_id_ armed with key == batch_.top()'s
+  // key. Every reserved, unfired batched event is counted in
+  // batch_staged_, whether or not its source has armed it yet.
   std::priority_queue<BatchEntry, std::vector<BatchEntry>, Later> batch_;
-  std::vector<EventFn> batch_fns_;
-  std::vector<uint32_t> batch_fn_free_;
+  size_t batch_staged_ = 0;
+  ClosureBatch closures_;
   uint64_t batch_wake_id_ = 0;
   util::TimeUs batch_wake_when_ = 0;
   uint64_t batch_wake_seq_ = 0;
@@ -132,9 +173,12 @@ class Scheduler {
 // Helper: schedules `fn` every `period` starting at now+period until it
 // returns false or Cancel() is called on the handle. Safe to Cancel() or
 // destroy from inside its own callback (including callbacks that return
-// true): the armed event holds only a weak reference to shared state and
-// re-checks cancellation after `fn` returns, so a Cancel issued anywhere
-// inside the callback's call graph sticks.
+// true): the running event holds the shared state alive through the call
+// and re-checks cancellation after `fn` returns, so a Cancel issued
+// anywhere inside the callback's call graph sticks. The armed event holds
+// only a raw pointer to the state (small enough for std::function's
+// inline buffer); that is safe because destroying the task cancels the
+// armed event, so an event that fires always finds its state alive.
 class PeriodicTask {
  public:
   PeriodicTask(Scheduler& sched, util::DurationUs period,
@@ -146,14 +190,14 @@ class PeriodicTask {
   void Cancel();
 
  private:
-  struct State {
+  struct State : std::enable_shared_from_this<State> {
     Scheduler* sched = nullptr;
     util::DurationUs period = 0;
     std::function<bool()> fn;
     uint64_t pending_id = 0;
     bool cancelled = false;
   };
-  static void Arm(const std::shared_ptr<State>& state);
+  static void Arm(State* state);
 
   std::shared_ptr<State> state_;
 };

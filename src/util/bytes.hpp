@@ -16,6 +16,11 @@ class ByteWriter {
  public:
   ByteWriter() = default;
   explicit ByteWriter(size_t reserve) { buf_.reserve(reserve); }
+  // Writes over `buf` from its start, keeping its capacity.
+  ByteWriter(std::vector<uint8_t>&& buf, size_t reserve) : buf_(std::move(buf)) {
+    buf_.clear();
+    buf_.reserve(reserve);
+  }
 
   void WriteU8(uint8_t v);
   void WriteU16(uint16_t v);
