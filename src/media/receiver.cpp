@@ -3,6 +3,40 @@
 #include <algorithm>
 
 namespace scallop::media {
+namespace {
+
+// The receiver's sorted flat vectors are keyed by an int64 that `key`
+// extracts from an entry.
+constexpr auto kFirst = [](const auto& e) { return e.first; };
+constexpr auto kSeqOf = [](const auto& e) { return e.seq; };
+constexpr auto kSelf = [](int64_t e) { return e; };
+
+// First entry whose key is >= `k`.
+template <typename T, typename Key>
+typename std::vector<T>::iterator LowerBound(std::vector<T>& v, int64_t k,
+                                             Key key) {
+  return std::lower_bound(
+      v.begin(), v.end(), k,
+      [&key](const T& e, int64_t x) { return key(e) < x; });
+}
+
+template <typename T, typename Key>
+bool Contains(std::vector<T>& v, int64_t k, Key key) {
+  auto it = LowerBound(v, k, key);
+  return it != v.end() && key(*it) == k;
+}
+
+// The entry keyed `k`, inserted as `fresh` when absent. A key past the
+// back appends without a search: the in-order common case.
+template <typename T, typename Key>
+T& FindOrInsert(std::vector<T>& v, int64_t k, Key key, T fresh) {
+  if (v.empty() || key(v.back()) < k) return v.emplace_back(std::move(fresh));
+  auto it = LowerBound(v, k, key);
+  if (key(*it) != k) it = v.insert(it, std::move(fresh));
+  return *it;
+}
+
+}  // namespace
 
 // Out-of-order sample (does not happen in simulation, where time is
 // monotone, but keep the container sorted regardless).
@@ -95,14 +129,9 @@ void VideoReceiver::OnPacket(const rtp::RtpPacket& pkt, util::TimeUs arrival) {
                       dd->end_of_frame,
                       key,
                       pkt.payload.size()};
-  // In-order seqs append; a seq still buffered from beyond the duplicate
-  // window keeps its first entry.
-  if (buffer_.empty() || buffer_.back().seq < seq) {
-    buffer_.push_back(BufferedSeq{seq, frame});
-  } else if (auto it = BufferedFrom(seq);
-             it == buffer_.end() || it->seq != seq) {
-    buffer_.insert(it, BufferedSeq{seq, frame});
-  }
+  // A seq still buffered from beyond the duplicate window keeps its first
+  // entry.
+  FindOrInsert(buffer_, seq, kSeqOf, BufferedSeq{seq, frame});
 
   if (missing_.erase(seq) > 0) {
     ++stats_.recovered_packets;
@@ -165,32 +194,6 @@ void VideoReceiver::GrowSeen(int64_t lo, int64_t hi) {
   seen_ = std::move(grown);
 }
 
-VideoReceiver::PendingFrame& VideoReceiver::PendingFor(int64_t frame_number) {
-  if (pending_frames_.empty() || pending_frames_.back().first < frame_number) {
-    return pending_frames_.emplace_back(frame_number, PendingFrame{}).second;
-  }
-  auto it = FindPending(frame_number);
-  if (it == pending_frames_.end() || it->first != frame_number) {
-    it = pending_frames_.emplace(it, frame_number, PendingFrame{});
-  }
-  return it->second;
-}
-
-std::vector<VideoReceiver::BufferedSeq>::iterator VideoReceiver::BufferedFrom(
-    int64_t seq) {
-  return std::lower_bound(
-      buffer_.begin(), buffer_.end(), seq,
-      [](const BufferedSeq& b, int64_t s) { return b.seq < s; });
-}
-
-// First pending frame numbered >= `frame_number`.
-std::vector<std::pair<int64_t, VideoReceiver::PendingFrame>>::iterator
-VideoReceiver::FindPending(int64_t frame_number) {
-  return std::lower_bound(
-      pending_frames_.begin(), pending_frames_.end(), frame_number,
-      [](const auto& e, int64_t f) { return e.first < f; });
-}
-
 void VideoReceiver::DetectGaps(int64_t seq, util::TimeUs now) {
   if (highest_seq_ < 0) {
     highest_seq_ = seq;
@@ -200,11 +203,7 @@ void VideoReceiver::DetectGaps(int64_t seq, util::TimeUs now) {
     // Record the gap; the first NACK goes out from OnTick once the packet
     // has been missing longer than the reorder tolerance.
     for (int64_t s = highest_seq_ + 1; s < seq; ++s) {
-      auto buffered = BufferedFrom(s);
-      if ((buffered != buffer_.end() && buffered->seq == s) ||
-          abandoned_.count(s)) {
-        continue;
-      }
+      if (Contains(buffer_, s, kSeqOf) || abandoned_.count(s)) continue;
       missing_.emplace(s, MissingPacket{now, 0, 0});
     }
   }
@@ -212,7 +211,10 @@ void VideoReceiver::DetectGaps(int64_t seq, util::TimeUs now) {
 }
 
 void VideoReceiver::AssembleFrame(int64_t seq, const BufferedPacket& info) {
-  PendingFrame& f = PendingFor(info.frame_number);
+  PendingFrame& f =
+      FindOrInsert(pending_frames_, info.frame_number, kFirst,
+                   std::pair{info.frame_number, PendingFrame{}})
+          .second;
   if (info.start_of_frame) f.start_seq = seq;
   if (info.end_of_frame) f.end_seq = seq;
   f.template_id = info.template_id;
@@ -281,9 +283,7 @@ void VideoReceiver::TryDecode(util::TimeUs now) {
 
     int dist = av1::L1T3Pattern::DependencyDistance(f.template_id, false);
     int64_t dep = frame_number - dist;
-    bool dep_ok =
-        dep <= 0 || std::binary_search(decoded_frames_.begin(),
-                                       decoded_frames_.end(), dep);
+    bool dep_ok = dep <= 0 || Contains(decoded_frames_, dep, kSelf);
     if (dep_ok) {
       DecodeFrame(frame_number, f, now);
       pending_frames_.erase(pending_frames_.begin());
@@ -292,8 +292,7 @@ void VideoReceiver::TryDecode(util::TimeUs now) {
     }
     // Dependency not decoded. If it can still arrive (newer than anything
     // assembled), wait; otherwise the frame is permanently undecodable.
-    auto dep_it = FindPending(dep);
-    if (dep_it != pending_frames_.end() && dep_it->first == dep) break;
+    if (Contains(pending_frames_, dep, kFirst)) break;
     ++stats_.frames_undecodable;
     waiting_for_key_frame_ = true;
     pending_frames_.erase(pending_frames_.begin());
@@ -303,41 +302,24 @@ void VideoReceiver::TryDecode(util::TimeUs now) {
 
 void VideoReceiver::DecodeFrame(int64_t frame_number, const PendingFrame& f,
                                 util::TimeUs now) {
-  if (decoded_frames_.empty() || decoded_frames_.back() < frame_number) {
-    decoded_frames_.push_back(frame_number);
-  } else {
-    auto it = std::lower_bound(decoded_frames_.begin(), decoded_frames_.end(),
-                               frame_number);
-    if (*it != frame_number) decoded_frames_.insert(it, frame_number);
-  }
+  FindOrInsert(decoded_frames_, frame_number, kSelf, frame_number);
   last_decoded_frame_ = std::max(last_decoded_frame_, frame_number);
-  // Keep decodes within 64 frames of this one.
-  decoded_frames_.erase(
-      decoded_frames_.begin(),
-      std::lower_bound(decoded_frames_.begin(), decoded_frames_.end(),
-                       frame_number - 64));
+  decoded_frames_.erase(decoded_frames_.begin(),
+                        LowerBound(decoded_frames_, frame_number - 64, kSelf));
   ++stats_.frames_decoded;
   last_decode_time_ = now;
   fps_series_.Add(now, 1.0);
-  if (decode_times_.empty() || decode_times_.back().first < frame_number) {
-    decode_times_.emplace_back(frame_number, now);
-  } else {
-    auto it = std::lower_bound(
-        decode_times_.begin(), decode_times_.end(), frame_number,
-        [](const auto& e, int64_t fn) { return e.first < fn; });
-    if (it->first == frame_number) {
-      it->second = now;
-    } else {
-      decode_times_.emplace(it, frame_number, now);
-    }
-  }
+  FindOrInsert(decode_times_, frame_number, kFirst,
+               std::pair{frame_number, now})
+      .second = now;
   if (decode_times_.size() > 256) {
     decode_times_.erase(decode_times_.begin(),
                         decode_times_.end() - 256);
   }
   // Drop packet buffer entries for this frame.
   if (f.start_seq >= 0 && f.end_seq >= f.start_seq) {
-    buffer_.erase(BufferedFrom(f.start_seq), BufferedFrom(f.end_seq + 1));
+    buffer_.erase(LowerBound(buffer_, f.start_seq, kSeqOf),
+                  LowerBound(buffer_, f.end_seq + 1, kSeqOf));
   }
 }
 
@@ -356,7 +338,7 @@ void VideoReceiver::OnTick(util::TimeUs now) {
       ++stats_.abandoned_packets;
       int64_t frame_lo = 0;
       int64_t frame_hi = max_seen_frame_;
-      auto above = BufferedFrom(seq + 1);
+      auto above = LowerBound(buffer_, seq + 1, kSeqOf);
       if (above != buffer_.end()) frame_hi = above->frame_number;
       if (above != buffer_.begin()) frame_lo = std::prev(above)->frame_number;
       for (auto& [fn, f] : pending_frames_) {

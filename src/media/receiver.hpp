@@ -154,11 +154,6 @@ class VideoReceiver {
   const SeenSlot* FindSeen(int64_t seq) const;
   void RememberSeen(int64_t seq, int64_t frame, uint8_t template_id);
   void GrowSeen(int64_t lo, int64_t hi);
-  // First buffered entry with seq >= `seq`.
-  std::vector<BufferedSeq>::iterator BufferedFrom(int64_t seq);
-  PendingFrame& PendingFor(int64_t frame_number);
-  std::vector<std::pair<int64_t, PendingFrame>>::iterator FindPending(
-      int64_t frame_number);
   void DetectGaps(int64_t unwrapped_seq, util::TimeUs now);
   void AssembleFrame(int64_t seq, const BufferedPacket& info);
   bool FrameComplete(const PendingFrame& f) const;
