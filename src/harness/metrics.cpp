@@ -35,7 +35,7 @@ void Section(std::string& out, const obs::StatsRegistry& stats,
     if (name.compare(0, prefix.size(), prefix) != 0) continue;
     const std::string column = name.substr(prefix.size());
     (pairs ? row : header) += "," + column;
-    row += "," + std::to_string(value);
+    row.append(",") += std::to_string(value);
   }
   if (row == section) return;
   if (!pairs) out += header + "\n";
@@ -175,7 +175,8 @@ std::string ScenarioMetrics::Summary() const {
       prefix = name.substr(0, dot);
       out += "    " + prefix + ":";
     }
-    out += " " + name.substr(dot + 1) + "=" + std::to_string(value);
+    out.append(" ").append(name, dot + 1).append("=") +=
+        std::to_string(value);
   }
   if (!prefix.empty()) out += "\n";
   return out;

@@ -273,7 +273,8 @@ void RequireInGrid(const ScenarioSpec& spec, int meeting, int participant,
 }
 
 std::string At(const char* what, double at_s) {
-  return " " + std::string(what) + " at " + std::to_string(at_s) + "s";
+  return std::string(" ").append(what).append(" at ") +
+         std::to_string(at_s) + "s";
 }
 
 }  // namespace

@@ -8,14 +8,6 @@ namespace scallop::sim {
 Link::Link(Scheduler& sched, LinkConfig cfg, uint64_t seed)
     : sched_(sched), cfg_(cfg), rng_(seed) {}
 
-size_t Link::QueuedBytes() const {
-  if (cfg_.rate_bps <= 0.0) return 0;
-  util::TimeUs backlog = busy_until_ - sched_.now();
-  if (backlog <= 0) return 0;
-  return static_cast<size_t>(static_cast<double>(backlog) * cfg_.rate_bps /
-                             8e6);
-}
-
 void Link::Send(net::PacketPtr pkt, DeliverFn deliver,
                 util::TimeUs depart_at) {
   ++stats_.sent_packets;
@@ -59,7 +51,7 @@ void Link::Send(net::PacketPtr pkt, DeliverFn deliver,
 
   // Never before now: tx_end >= now and both delays are non-negative.
   util::TimeUs arrival = tx_end + cfg_.prop_delay + extra;
-  const uint64_t seq = sched_.ReserveBatchSeq();
+  const uint64_t seq = sched_.ReserveSeq();
   if (count_ == ring_.size()) Grow();
   // Insert from the tail: the new flight has the newest seq, so it goes
   // behind every flight arriving no later than it (O(1) when in order).
@@ -79,7 +71,7 @@ void Link::Send(net::PacketPtr pkt, DeliverFn deliver,
 void Link::ArmHead() {
   Flight& head = ring_[head_];
   head.armed = true;
-  sched_.ArmBatch(head.arrival, head.seq, this);
+  sched_.Arm(head.arrival, head.seq, this);
 }
 
 void Link::Grow() {
@@ -89,7 +81,7 @@ void Link::Grow() {
   head_ = 0;
 }
 
-void Link::OnBatch(uint32_t /*tag*/) {
+void Link::OnEvent(uint32_t /*tag*/) {
   Flight& f = ring_[head_];
   net::PacketPtr pkt = std::move(f.pkt);
   DeliverFn deliver = std::move(f.deliver);

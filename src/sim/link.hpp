@@ -4,11 +4,11 @@
 //
 // In-flight packets wait in a ring sorted by (arrival, seq), where seq is
 // the scheduler sequence number reserved when Send accepted the packet.
-// The link is a Scheduler::BatchSource: the ring's head is always armed in
-// the scheduler's batch heap with its own key, so deliveries fire in the
-// same global (when, seq) order as one At event per packet would, while
-// the link itself adds no per-packet closure and, once the ring has grown,
-// no allocation.
+// The link is a Scheduler::EventSource: the ring's head is always armed in
+// the scheduler's heap with its own key, so deliveries fire in the same
+// global (when, seq) order as one At event per packet would, while the
+// link itself adds no per-packet closure and, once the ring has grown, no
+// allocation.
 #pragma once
 
 #include <cstdint>
@@ -41,13 +41,13 @@ struct LinkStats {
   uint64_t delivered_bytes = 0;
 };
 
-class Link : private Scheduler::BatchSource {
+class Link : private Scheduler::EventSource {
  public:
   using DeliverFn = std::function<void(net::PacketPtr)>;
 
   Link(Scheduler& sched, LinkConfig cfg, uint64_t seed);
-  // The scheduler's batch heap holds the link's address while packets are
-  // in flight.
+  // The scheduler's heap holds the link's address while packets are in
+  // flight.
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
@@ -68,20 +68,17 @@ class Link : private Scheduler::BatchSource {
   const LinkConfig& config() const { return cfg_; }
   const LinkStats& stats() const { return stats_; }
 
-  // Current queueing backlog in bytes (approximation from busy horizon).
-  size_t QueuedBytes() const;
-
  private:
   struct Flight {
     util::TimeUs arrival = 0;
     uint64_t seq = 0;
-    bool armed = false;  // already staged in the scheduler's batch heap
+    bool armed = false;  // already armed in the scheduler's heap
     net::PacketPtr pkt;
     DeliverFn deliver;
   };
 
-  // Delivers the head flight (Scheduler::BatchSource).
-  void OnBatch(uint32_t tag) override;
+  // Delivers the head flight (Scheduler::EventSource).
+  void OnEvent(uint32_t tag) override;
   Flight& FlightAt(size_t i) { return ring_[(head_ + i) & (ring_.size() - 1)]; }
   void ArmHead();
   void Grow();
@@ -96,7 +93,7 @@ class Link : private Scheduler::BatchSource {
   // that sorts ahead of it (jitter, reordering, a cut propagation delay,
   // an earlier depart_at) becomes the new armed head, and the displaced
   // flight's entry stays valid — it carries that flight's exact key, and
-  // the batch heap can only fire it once everything before it has fired.
+  // the scheduler can only fire it once everything before it has fired.
   std::vector<Flight> ring_;
   size_t head_ = 0;
   size_t count_ = 0;

@@ -11,8 +11,6 @@ void Network::Attach(net::Ipv4 addr, Host* host, const LinkConfig& uplink,
   hosts_[addr] = std::move(att);
 }
 
-void Network::Detach(net::Ipv4 addr) { hosts_.erase(addr); }
-
 void Network::Connect(net::Ipv4 a, net::Ipv4 b, const LinkConfig& ab,
                       const LinkConfig& ba) {
   auto install = [this](net::Ipv4 from, net::Ipv4 to,
@@ -23,10 +21,10 @@ void Network::Connect(net::Ipv4 a, net::Ipv4 b, const LinkConfig& ab,
           std::make_unique<Link>(sched_, cfg, seed_ + next_link_seed_++);
       return;
     }
-    // Reshape the existing Link in place rather than replacing it: its
-    // in-flight delivery callbacks capture the Link, so destroying it
-    // mid-run would be a use-after-free (and would silently reset stats
-    // and reseed the loss/jitter stream).
+    // Reshape the existing Link in place rather than replacing it: the
+    // scheduler's heap holds the Link's address while packets are in
+    // flight, so destroying it mid-run would be a use-after-free (and
+    // would silently reset stats and reseed the loss/jitter stream).
     Link& link = *it->second;
     link.set_rate_bps(cfg.rate_bps);
     link.set_prop_delay(cfg.prop_delay);
@@ -52,10 +50,6 @@ void Network::SetRoute(net::Ipv4 src, net::Ipv4 dst,
                        std::vector<net::Ipv4> path) {
   routes_[{src, dst}] =
       std::make_shared<const std::vector<net::Ipv4>>(std::move(path));
-}
-
-void Network::ClearRoute(net::Ipv4 src, net::Ipv4 dst) {
-  routes_.erase({src, dst});
 }
 
 void Network::SendAlongRoute(net::PacketPtr pkt, const Route& path,

@@ -11,106 +11,21 @@ constexpr uint64_t MakeId(uint32_t slot, uint32_t gen) {
 
 }  // namespace
 
-uint32_t Scheduler::AcquireSlot() {
-  if (!free_slots_.empty()) {
-    uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  slots_.push_back(Slot{});
-  return static_cast<uint32_t>(slots_.size() - 1);
-}
-
-void Scheduler::ReleaseSlot(uint32_t slot) {
-  ++slots_[slot].gen;  // invalidates every id issued for this occupancy
-  free_slots_.push_back(slot);
-}
-
 uint64_t Scheduler::At(util::TimeUs when, EventFn fn) {
-  return AtSequenced(when, next_seq_++, std::move(fn));
-}
-
-uint64_t Scheduler::AtSequenced(util::TimeUs when, uint64_t seq, EventFn fn) {
   if (when < now_) when = now_;
-  uint32_t slot = AcquireSlot();
-  slots_[slot].armed = true;
-  queue_.push(Event{when, seq, slot, std::move(fn)});
-  return MakeId(slot, slots_[slot].gen);
-}
-
-bool Scheduler::TryRunInline(util::TimeUs when, uint64_t seq) {
-  if (when > horizon_) return false;
-  if (!queue_.empty()) {
-    const Event& top = queue_.top();
-    // A queued event (even a cancelled tombstone — conservative but cheap)
-    // sorting before (when, seq) must fire first.
-    if (top.when < when || (top.when == when && top.seq < seq)) return false;
+  uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
   }
-  if (now_ < when) now_ = when;
-  return true;
-}
-
-uint32_t Scheduler::ClosureBatch::Add(EventFn fn) {
-  if (!free_.empty()) {
-    uint32_t idx = free_.back();
-    free_.pop_back();
-    fns_[idx] = std::move(fn);
-    return idx;
-  }
-  fns_.push_back(std::move(fn));
-  return static_cast<uint32_t>(fns_.size() - 1);
-}
-
-void Scheduler::ClosureBatch::OnBatch(uint32_t tag) {
-  EventFn fn = std::move(fns_[tag]);
-  free_.push_back(tag);
-  fn();
-}
-
-void Scheduler::BatchAt(util::TimeUs when, EventFn fn) {
-  if (when < now_) when = now_;
-  ArmBatch(when, ReserveBatchSeq(), &closures_, closures_.Add(std::move(fn)));
-}
-
-void Scheduler::ArmBatch(util::TimeUs when, uint64_t seq, BatchSource* source,
-                         uint32_t tag) {
-  batch_.push(BatchEntry{when, seq, source, tag});
-  // Inside BatchWake the drain loop re-syncs on exit; re-arming here would
-  // race it and double-fire.
-  if (!in_batch_wake_) SyncBatchWake();
-}
-
-void Scheduler::SyncBatchWake() {
-  if (batch_.empty()) return;
-  const BatchEntry& front = batch_.top();
-  if (batch_wake_id_ != 0) {
-    if (batch_wake_when_ == front.when && batch_wake_seq_ == front.seq) {
-      return;
-    }
-    Cancel(batch_wake_id_);
-  }
-  batch_wake_when_ = front.when;
-  batch_wake_seq_ = front.seq;
-  // Carrying the front's own (when, seq) makes the wake fire at exactly
-  // the moment the front would have, had it been queued with At.
-  batch_wake_id_ = AtSequenced(front.when, front.seq, [this] { BatchWake(); });
-}
-
-void Scheduler::BatchWake() {
-  batch_wake_id_ = 0;
-  in_batch_wake_ = true;
-  // The loop just popped our key off the main queue, so the first
-  // TryRunInline always succeeds; later iterations drain every staged
-  // entry that would have been the immediately-next event anyway.
-  while (!batch_.empty()) {
-    const BatchEntry front = batch_.top();
-    if (!TryRunInline(front.when, front.seq)) break;
-    batch_.pop();
-    --batch_staged_;
-    front.source->OnBatch(front.tag);
-  }
-  in_batch_wake_ = false;
-  SyncBatchWake();
+  Slot& s = slots_[slot];
+  s.armed = true;
+  s.fn = std::move(fn);
+  queue_.push(Entry{when, next_seq_++, nullptr, slot});
+  return MakeId(slot, s.gen);
 }
 
 void Scheduler::Cancel(uint64_t id) {
@@ -123,55 +38,39 @@ void Scheduler::Cancel(uint64_t id) {
   ++cancelled_in_queue_;
 }
 
-bool Scheduler::PopLive(Event& ev) {
-  Event& top = const_cast<Event&>(queue_.top());
-  ev.when = top.when;
-  ev.seq = top.seq;
-  ev.slot = top.slot;
-  ev.fn = std::move(top.fn);
-  queue_.pop();
-  Slot& s = slots_[ev.slot];
-  if (!s.armed) {  // cancelled while queued
-    --cancelled_in_queue_;
-    ReleaseSlot(ev.slot);
-    return false;
-  }
-  // Release before running: `fn` may Cancel its own (now stale) id or
-  // schedule a new event that reuses the slot under a fresh generation.
-  s.armed = false;
-  ReleaseSlot(ev.slot);
-  return true;
-}
-
-size_t Scheduler::RunUntil(util::TimeUs until) {
-  util::TimeUs saved_horizon = horizon_;
-  horizon_ = until;
+size_t Scheduler::Run(util::TimeUs until) {
   size_t executed = 0;
-  while (!queue_.empty()) {
-    if (queue_.top().when > until) break;
-    Event ev;
-    if (!PopLive(ev)) continue;
-    now_ = ev.when;
-    ev.fn();
+  while (!queue_.empty() && queue_.top().when <= until) {
+    const Entry top = queue_.top();
+    queue_.pop();
+    if (top.source != nullptr) {
+      now_ = top.when;
+      top.source->OnEvent(top.tag);
+    } else {
+      // Release the slot before running: `fn` may Cancel its own (now
+      // stale) id or schedule a new event that reuses the slot under a
+      // fresh generation.
+      Slot& s = slots_[top.tag];
+      EventFn fn = std::move(s.fn);
+      const bool live = s.armed;
+      s.armed = false;
+      ++s.gen;  // invalidates every id issued for this occupancy
+      free_slots_.push_back(top.tag);
+      if (!live) {  // cancelled while queued
+        --cancelled_in_queue_;
+        continue;
+      }
+      now_ = top.when;
+      fn();
+    }
     ++executed;
   }
-  horizon_ = saved_horizon;
-  if (now_ < until) now_ = until;
   return executed;
 }
 
-size_t Scheduler::RunAll() {
-  util::TimeUs saved_horizon = horizon_;
-  horizon_ = util::kTimeNever;
-  size_t executed = 0;
-  while (!queue_.empty()) {
-    Event ev;
-    if (!PopLive(ev)) continue;
-    now_ = ev.when;
-    ev.fn();
-    ++executed;
-  }
-  horizon_ = saved_horizon;
+size_t Scheduler::RunUntil(util::TimeUs until) {
+  size_t executed = Run(until);
+  if (now_ < until) now_ = until;
   return executed;
 }
 

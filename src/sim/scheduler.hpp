@@ -14,6 +14,12 @@ namespace scallop::sim {
 
 using EventFn = std::function<void()>;
 
+// One heap of 32-byte entries ordered by (when, seq), where seq is a global
+// counter, so events with equal times fire in submission order. An At event
+// is an entry whose closure waits in a generation-stamped slot; an
+// EventSource event is an entry that names its source, which keeps the
+// payload itself (a Link keeps its in-flight packets), so no per-event
+// closure exists.
 class Scheduler {
  public:
   Scheduler() = default;
@@ -32,142 +38,78 @@ class Scheduler {
   // Cancels a pending event in O(1). Cancelling an already-fired (or
   // already-cancelled) id is a no-op: ids are generation-stamped slot
   // handles, so a stale id can never hit a later event reusing the slot.
+  // The closure is destroyed when its entry reaches the top of the heap.
   void Cancel(uint64_t id);
 
-  // Batched one-shot events — the packet-delivery fast path. A batched
-  // event is semantically identical to an At event (same FIFO-among-
-  // equal-times order, interleaved exactly with At events by the shared
-  // sequence counter) but not cancellable. Staged entries wait in a side
-  // heap that keeps only ONE main-queue event armed — carrying the
-  // earliest entry's (when, seq); when it fires, every staged entry that
-  // would have been the immediately-next event anyway runs inline, so a
-  // burst of N deliveries costs one main-heap push+pop instead of N.
-  //
-  // A BatchSource owns a stream of such events and stages them itself:
-  // it reserves each event's sequence number with ReserveBatchSeq at the
-  // moment the event is submitted (that fixes its place among equal
-  // times), and arms it with ArmBatch no later than when it becomes the
-  // source's earliest pending event. The side heap then merges the
-  // sources' streams in global (when, seq) order — a k-way merge — while
-  // the payloads stay with the source, so no per-event closure exists.
-  // Contract: every reserved event is armed exactly once with its own
-  // key, `when` is not earlier than now(), and the source outlives its
-  // armed events.
-  class BatchSource {
+  // An EventSource owns a stream of uncancellable one-shot events. It
+  // reserves each event's sequence number with ReserveSeq at the moment
+  // the event is submitted (that fixes its place among equal times), and
+  // arms it with Arm no later than when it becomes the source's earliest
+  // pending event. Contract: every reserved event is armed exactly once
+  // with its own key, `when` is not earlier than now(), and the source
+  // outlives its armed events.
+  class EventSource {
    public:
-    // Runs the staged event armed with `tag`: always the source's
-    // earliest pending event.
-    virtual void OnBatch(uint32_t tag) = 0;
+    // Runs the event armed with `tag`: always the source's earliest
+    // pending event.
+    virtual void OnEvent(uint32_t tag) = 0;
 
    protected:
-    ~BatchSource() = default;
+    ~EventSource() = default;
   };
-  uint64_t ReserveBatchSeq() {
-    ++batch_staged_;
+  uint64_t ReserveSeq() {
+    ++reserved_;
     return next_seq_++;
   }
-  void ArmBatch(util::TimeUs when, uint64_t seq, BatchSource* source,
-                uint32_t tag = 0);
-
-  // One-off batched closure; `when` is clamped to now.
-  void BatchAt(util::TimeUs when, EventFn fn);
-  void BatchAfter(util::DurationUs delay, EventFn fn) {
-    BatchAt(now_ + delay, std::move(fn));
+  void Arm(util::TimeUs when, uint64_t seq, EventSource* source,
+           uint32_t tag = 0) {
+    --reserved_;
+    queue_.push(Entry{when, seq, source, tag});
   }
 
-  // Runs events until the queue is empty or `until` is passed.
-  // Returns the number of events executed.
+  // Runs events until the queue is empty or `until` is passed, then
+  // advances the clock to `until`. Returns the number of events executed.
   size_t RunUntil(util::TimeUs until);
-  size_t RunAll();
+  // Runs every event; the clock stops at the last one.
+  size_t RunAll() { return Run(util::kTimeNever); }
 
   bool empty() const { return pending() == 0; }
+  // Live entries plus reserved events not armed yet.
   size_t pending() const {
-    // The armed batch wake stands in for the front staged entry; count the
-    // staged events themselves (armed or not) instead of double-counting it.
-    return queue_.size() - cancelled_in_queue_ + batch_staged_ -
-           (batch_wake_id_ != 0 ? 1 : 0);
+    return queue_.size() - cancelled_in_queue_ + reserved_;
   }
 
  private:
-  struct Event {
+  struct Entry {
     util::TimeUs when;
-    uint64_t seq;   // global FIFO order among equal times
-    uint32_t slot;  // cancellation slot (slots_[slot])
-    EventFn fn;
+    uint64_t seq;
+    EventSource* source;  // nullptr: an At event in slots_[tag]
+    uint32_t tag;
   };
   struct Later {
-    // Earliest time first; FIFO among equal times via seq. Shared by the
-    // main queue (Event) and the batch staging heap (BatchEntry).
-    template <typename E>
-    bool operator()(const E& a, const E& b) const {
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
   };
-  // One live queue entry per slot. `gen` stamps the slot's current
+  // One queued At entry per slot. `gen` stamps the slot's current
   // occupancy: Cancel ids carry the generation they were issued under and
   // miss once the slot is released (event fired or cancelled-and-popped).
   struct Slot {
     uint32_t gen = 1;
     bool armed = false;
+    EventFn fn;
   };
 
-  // Armed batched events: the heap sifts 32-byte PODs; payloads stay with
-  // their source.
-  struct BatchEntry {
-    util::TimeUs when;
-    uint64_t seq;
-    BatchSource* source;
-    uint32_t tag;
-  };
-  // The source behind BatchAt: closures in a slab, tag = slab index.
-  class ClosureBatch final : public BatchSource {
-   public:
-    uint32_t Add(EventFn fn);
-    void OnBatch(uint32_t tag) override;
-
-   private:
-    std::vector<EventFn> fns_;
-    std::vector<uint32_t> free_;
-  };
-
-  uint32_t AcquireSlot();
-  void ReleaseSlot(uint32_t slot);
-  // Pops the top event; returns false (and releases the slot) when it was
-  // cancelled while queued.
-  bool PopLive(Event& ev);
-  // Like At with a caller-supplied (already reserved) sequence number.
-  uint64_t AtSequenced(util::TimeUs when, uint64_t seq, EventFn fn);
-  // True iff an event keyed (when, seq) would be the very next event the
-  // running loop pops AND lies within the loop's horizon; on success
-  // advances now() so the caller may run it inline.
-  bool TryRunInline(util::TimeUs when, uint64_t seq);
-  // Keeps the armed wake's key equal to the staged front's key.
-  void SyncBatchWake();
-  // Delivers the staged front, then drains every staged entry that still
-  // sorts before the whole main queue.
-  void BatchWake();
+  size_t Run(util::TimeUs until);
 
   util::TimeUs now_ = 0;
-  // Upper time bound of the innermost running RunUntil/RunAll (saved and
-  // restored across nesting); TryRunInline refuses events beyond it.
-  util::TimeUs horizon_ = 0;
   uint64_t next_seq_ = 1;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   size_t cancelled_in_queue_ = 0;
-  // Staging heap of armed batched events. Invariant outside BatchWake:
-  // batch_ non-empty => batch_wake_id_ armed with key == batch_.top()'s
-  // key. Every reserved, unfired batched event is counted in
-  // batch_staged_, whether or not its source has armed it yet.
-  std::priority_queue<BatchEntry, std::vector<BatchEntry>, Later> batch_;
-  size_t batch_staged_ = 0;
-  ClosureBatch closures_;
-  uint64_t batch_wake_id_ = 0;
-  util::TimeUs batch_wake_when_ = 0;
-  uint64_t batch_wake_seq_ = 0;
-  bool in_batch_wake_ = false;
+  size_t reserved_ = 0;
 };
 
 // Helper: schedules `fn` every `period` starting at now+period until it

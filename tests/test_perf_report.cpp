@@ -1,13 +1,15 @@
 // Pins the machine-readable bench contract (BENCH_<area>.json schema,
 // round-trip, env-var routing) and the scheduler guarantees the perf
 // campaign leans on: pending() stays exact under cancel-heavy churn, and
-// BatchAt stays observationally identical to At — same FIFO order among
-// equal times, interleaved with At events by the shared sequence counter.
+// EventSource events stay observationally identical to At events — same
+// FIFO order among equal times, interleaved with At events by the shared
+// sequence counter.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -83,12 +85,57 @@ TEST(PerfReport, WriteJsonHonorsBenchDirEnv) {
 
 // ---- scheduler invariants the fast paths must uphold -----------------------
 
-// pending() is computed from four moving parts (main heap size, cancelled
-// tombstones, staged batch entries, the armed batch wake). Churn all of
-// them against a simple reference count. Deterministic xorshift so the
+// A closure-carrying Scheduler::EventSource built the way Link is: Submit
+// reserves the event's sequence number at once, but only the source's
+// earliest pending event is armed, when it first becomes the front; a
+// displaced front keeps its still-exact entry.
+class ClosureSource : private sim::Scheduler::EventSource {
+ public:
+  explicit ClosureSource(sim::Scheduler& s) : sched_(s) {}
+  // The scheduler's heap holds the source's address.
+  ClosureSource(const ClosureSource&) = delete;
+  ClosureSource& operator=(const ClosureSource&) = delete;
+
+  void Submit(util::TimeUs when, std::function<void()> fn) {
+    EXPECT_GE(when, sched_.now()) << "sources must not aim at the past";
+    Pending p{when, sched_.ReserveSeq(), false, std::move(fn)};
+    auto pos = pending_.begin();
+    while (pos != pending_.end() && pos->when <= when) ++pos;
+    pos = pending_.insert(pos, std::move(p));
+    if (pos == pending_.begin()) ArmFront();
+  }
+
+ private:
+  struct Pending {
+    util::TimeUs when;
+    uint64_t seq;
+    bool armed;
+    std::function<void()> fn;
+  };
+
+  void ArmFront() {
+    pending_.front().armed = true;
+    sched_.Arm(pending_.front().when, pending_.front().seq, this);
+  }
+  void OnEvent(uint32_t /*tag*/) override {
+    std::function<void()> fn = std::move(pending_.front().fn);
+    pending_.erase(pending_.begin());
+    // Arm the next front before running: `fn` may submit more.
+    if (!pending_.empty() && !pending_.front().armed) ArmFront();
+    fn();
+  }
+
+  sim::Scheduler& sched_;
+  std::vector<Pending> pending_;  // sorted by (when, seq)
+};
+
+// pending() is computed from three moving parts (heap size, cancelled
+// tombstones, reserved events their source has not armed yet). Churn all
+// of them against a simple reference count. Deterministic xorshift so the
 // interleaving is reproducible.
 TEST(SchedulerInvariants, PendingExactUnderCancelHeavyChurn) {
   sim::Scheduler s;
+  ClosureSource source(s);
   uint64_t rng = 0x9e3779b97f4a7c15ull;
   auto next = [&rng] {
     rng ^= rng << 13;
@@ -111,8 +158,9 @@ TEST(SchedulerInvariants, PendingExactUnderCancelHeavyChurn) {
         ++expected_pending;
         ++expected_fires;
         break;
-      case 1:  // batched (uncancellable) event
-        s.BatchAt(static_cast<util::TimeUs>(next() % 1000), [&] { ++fired; });
+      case 1:  // source (uncancellable) event, armed only if it leads
+        source.Submit(static_cast<util::TimeUs>(next() % 1000),
+                      [&] { ++fired; });
         ++expected_pending;
         ++expected_fires;
         break;
@@ -135,7 +183,7 @@ TEST(SchedulerInvariants, PendingExactUnderCancelHeavyChurn) {
     ASSERT_EQ(s.empty(), expected_pending == 0);
   }
 
-  s.RunAll();
+  EXPECT_EQ(s.RunAll(), expected_fires);
   EXPECT_EQ(fired, expected_fires);
   EXPECT_EQ(s.pending(), 0u);
   EXPECT_TRUE(s.empty());
@@ -145,53 +193,55 @@ TEST(SchedulerInvariants, PendingExactUnderCancelHeavyChurn) {
   EXPECT_EQ(s.pending(), 0u);
 }
 
-// BatchAt promises At's ordering: among events with equal timestamps,
-// submission order wins — even when At and BatchAt submissions interleave,
-// because both draw from the one sequence counter.
-TEST(SchedulerInvariants, BatchedDeliveryKeepsFifoAmongEqualTimes) {
+// Source events promise At's ordering: among events with equal
+// timestamps, submission order wins — even when At and source submissions
+// interleave, because both draw from the one sequence counter.
+TEST(SchedulerInvariants, SourceEventsKeepFifoAmongEqualTimes) {
   sim::Scheduler s;
+  ClosureSource source(s);
   std::vector<int> order;
   s.At(100, [&] { order.push_back(0); });
-  s.BatchAt(100, [&] { order.push_back(1); });
+  source.Submit(100, [&] { order.push_back(1); });
   s.At(100, [&] { order.push_back(2); });
-  s.BatchAt(100, [&] { order.push_back(3); });
-  s.BatchAt(100, [&] { order.push_back(4); });
+  source.Submit(100, [&] { order.push_back(3); });
+  source.Submit(100, [&] { order.push_back(4); });
   s.At(100, [&] { order.push_back(5); });
   s.RunAll();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
   EXPECT_EQ(s.now(), 100);
 }
 
-// Same promise across distinct timestamps: the merged At/BatchAt stream
+// Same promise across distinct timestamps: the merged At/source stream
 // runs in global (when, submission) order regardless of which side each
 // event entered through, including same-time reentrant submissions from
-// inside a running batched callback.
-TEST(SchedulerInvariants, BatchedAndDirectEventsMergeInTimeOrder) {
+// inside a running source event.
+TEST(SchedulerInvariants, SourceAndAtEventsMergeInTimeOrder) {
   sim::Scheduler s;
+  ClosureSource source(s);
   std::vector<int> order;
-  s.BatchAt(300, [&] { order.push_back(5); });
+  source.Submit(300, [&] { order.push_back(5); });
   s.At(100, [&] { order.push_back(1); });
-  s.BatchAt(200, [&] {
+  source.Submit(200, [&] {
     order.push_back(3);
-    // Reentrant: a batched callback staging more work at its own
+    // Reentrant: a source event submitting more work at its own
     // timestamp still runs after everything already submitted for that
     // timestamp (its sequence number is newer).
-    s.BatchAt(200, [&] { order.push_back(4); });
-    s.BatchAt(400, [&] { order.push_back(6); });
+    source.Submit(200, [&] { order.push_back(4); });
+    source.Submit(400, [&] { order.push_back(6); });
   });
-  s.BatchAt(100, [&] { order.push_back(2); });
+  source.Submit(100, [&] { order.push_back(2); });
   s.At(50, [&] { order.push_back(0); });
   s.RunAll();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
   EXPECT_EQ(s.now(), 400);
 }
 
-TEST(SchedulerInvariants, BatchAtClampsPastTimesToNow) {
+TEST(SchedulerInvariants, AtClampsPastTimesToNow) {
   sim::Scheduler s;
   std::vector<int> order;
   s.At(100, [&] {
-    // now() == 100; a batched event aimed at the past must not rewind.
-    s.BatchAt(10, [&] { order.push_back(1); });
+    // now() == 100; an event aimed at the past must not rewind.
+    s.At(10, [&] { order.push_back(1); });
     order.push_back(0);
   });
   s.At(100, [&] { order.push_back(2); });
@@ -201,11 +251,12 @@ TEST(SchedulerInvariants, BatchAtClampsPastTimesToNow) {
   EXPECT_EQ(s.now(), 100);
 }
 
-TEST(SchedulerInvariants, RunUntilLeavesFutureBatchedWorkStaged) {
+TEST(SchedulerInvariants, RunUntilLeavesFutureSourceEventsPending) {
   sim::Scheduler s;
+  ClosureSource source(s);
   int fired = 0;
-  s.BatchAt(500, [&] { ++fired; });
-  s.BatchAt(600, [&] { ++fired; });
+  source.Submit(500, [&] { ++fired; });
+  source.Submit(600, [&] { ++fired; });
   s.RunUntil(250);
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(s.pending(), 2u);

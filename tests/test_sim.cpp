@@ -299,6 +299,30 @@ TEST(LinkTest, RuntimeRateChangeTakesEffect) {
   EXPECT_EQ(arrival, 4112);
 }
 
+// RunUntil/RunAll return one per executed event, whichever way it entered:
+// every delivery of an equal-time burst counts, as do At events and
+// deliveries sent from inside a delivery; a cancelled event counts zero.
+TEST(LinkTest, RunCountsEveryDeliveryOfABurst) {
+  Scheduler s;
+  Link link(s, LinkConfig{.prop_delay = util::Millis(1)}, 1);
+  constexpr size_t kBurst = 10;
+  size_t delivered = 0;
+  for (size_t i = 0; i < kBurst; ++i) {
+    link.Send(MakeTestPacket(), [&](net::PacketPtr) { ++delivered; });
+  }
+  s.At(util::Millis(1), [] {});
+  s.Cancel(s.At(util::Millis(1), [] {}));
+  EXPECT_EQ(s.RunUntil(util::Millis(1)), kBurst + 1);
+  EXPECT_EQ(delivered, kBurst);
+
+  link.Send(MakeTestPacket(), [&](net::PacketPtr) {
+    ++delivered;
+    link.Send(MakeTestPacket(), [&](net::PacketPtr) { ++delivered; });
+  });
+  EXPECT_EQ(s.RunAll(), 2u);
+  EXPECT_EQ(delivered, kBurst + 2);
+}
+
 // Links fire their deliveries in the scheduler's global (when, seq) order:
 // by arrival time, and among equal times by the order of the Send calls,
 // interleaved with At events by the order they were scheduled. The links
