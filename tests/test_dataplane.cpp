@@ -78,6 +78,11 @@ class DataPlaneTest : public ::testing::Test {
                            pkt.Serialize());
   }
 
+  static std::vector<uint8_t> Bytes(const net::Packet& pkt) {
+    auto bytes = pkt.payload_span();
+    return {bytes.begin(), bytes.end()};
+  }
+
   sim::Scheduler sched_;
   sim::Network net_;
   switchsim::Switch sw_;
@@ -234,6 +239,144 @@ TEST_F(DataPlaneTest, NackTranslatedBackToSenderSpace) {
   const auto& out_nack = std::get<rtp::Nack>((*msgs)[0]);
   EXPECT_EQ(out_nack.sequence_numbers, (std::vector<uint16_t>{5}));
   EXPECT_EQ(dp_.stats().nack_translated, 1u);
+}
+
+// Copy-on-write pins: every replica and the CPU copy of one ingress
+// packet carry the same bytes until egress rewrites one of them, so a
+// header patch on one replica must leave its siblings and the CPU copy as
+// the sender wrote them.
+TEST_F(DataPlaneTest, SeqRewriteOnOneReplicaLeavesSiblingsAndCpuCopyIntact) {
+  const net::Endpoint client_c{net::Ipv4(10, 0, 0, 3), 42'000};
+  const net::Endpoint client_d{net::Ipv4(10, 0, 0, 4), 43'000};
+  SinkHost host_c;
+  SinkHost host_d;
+  net_.Attach(client_c.addr, &host_c, {}, {});
+  net_.Attach(client_d.addr, &host_d, {}, {});
+
+  // A (rid 1) sends on one NRA tree to B, C and D (rids 2..4). Only C has
+  // an active rewriter: decode target 1 drops TL2 and closes the gaps.
+  constexpr uint32_t kMgid = 7;
+  ASSERT_TRUE(sw_.pre().CreateTree(kMgid));
+  const net::Endpoint receivers[] = {client_b_, client_c, client_d};
+  for (uint16_t rid = 2; rid <= 4; ++rid) {
+    switchsim::L1Node node;
+    node.node_id = rid;
+    node.rid = rid;
+    node.ports = {rid};
+    ASSERT_TRUE(sw_.pre().AddNode(kMgid, node));
+    EgressEntry out;
+    out.dst = receivers[rid - 2];
+    out.sfu_src = net::Endpoint{sw_.address(),
+                                static_cast<uint16_t>(10'000 + rid)};
+    out.receiver = rid;
+    dp_.InstallEgress(EgressKey{client_a_, rid}, out);
+  }
+  StreamEntry stream;
+  stream.meeting = 1;
+  stream.sender = 1;
+  stream.is_video = true;
+  stream.design = TreeDesign::kNRA;
+  stream.mgid_base = kMgid;
+  stream.rid = 1;
+  dp_.InstallStream(StreamKey{client_a_, 0xAAAA}, stream);
+  SvcEntry svc;
+  svc.decode_target = 1;
+  svc.cadence = SkipCadence::ForDecodeTarget(1, 1);
+  svc.rewriter_index = dp_.AllocateRewriter(svc.cadence);
+  svc.filter_in_egress = true;
+  dp_.InstallSvc(SvcKey{0xAAAA, 3}, svc);
+
+  // Frames 1..5 (templates 0,3,2,4,1), one packet each. Every packet
+  // carries the extended descriptor, so each also goes to the CPU.
+  const uint8_t templates[] = {0, 3, 2, 4, 1};
+  std::vector<std::vector<uint8_t>> sent;
+  for (uint16_t f = 1; f <= 5; ++f) {
+    net::PacketPtr pkt = VideoPacket(0xAAAA, f, f, templates[f - 1],
+                                     /*extended=*/true);
+    sent.push_back(Bytes(*pkt));
+    sw_.OnPacket(std::move(pkt));
+  }
+  sched_.RunAll();
+
+  for (const SinkHost* host : {&host_b_, &host_d}) {
+    ASSERT_EQ(host->packets.size(), sent.size());
+    for (size_t i = 0; i < sent.size(); ++i) {
+      EXPECT_EQ(Bytes(*host->packets[i]), sent[i]) << "packet " << i;
+    }
+  }
+  // C: frames 2 and 4 suppressed; the rest renumbered 1,2,3 and otherwise
+  // the sender's bytes.
+  const size_t kept[] = {0, 2, 4};
+  ASSERT_EQ(host_c.packets.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    std::vector<uint8_t> expected = sent[kept[i]];
+    rtp::PatchSequenceNumber(expected, static_cast<uint16_t>(i + 1));
+    EXPECT_EQ(Bytes(*host_c.packets[i]), expected) << "packet " << i;
+  }
+  ASSERT_EQ(cpu_packets_.size(), sent.size());
+  for (size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(Bytes(*cpu_packets_[i]), sent[i]) << "cpu copy " << i;
+  }
+  EXPECT_EQ(dp_.stats().seq_rewritten, 3u);
+  EXPECT_EQ(dp_.stats().svc_suppressed, 2u);
+}
+
+TEST_F(DataPlaneTest, NackTranslationOnOneLegLeavesCpuCopyIntact) {
+  InstallTwoParty(0xAAAA, true, 1);
+  // Frames 1..5 through B's rewriter: TL2 frames suppressed, offset 2.
+  uint16_t seq = 1;
+  const uint8_t templates[] = {0, 3, 2, 4, 1};
+  for (int f = 1; f <= 5; ++f) {
+    sw_.OnPacket(VideoPacket(0xAAAA, seq++, static_cast<uint16_t>(f),
+                             templates[f - 1]));
+  }
+  sched_.RunAll();
+  cpu_packets_.clear();
+
+  // Two feedback legs toward A: B's (port 10'002) has an active rewriter,
+  // C's (port 10'003) has none.
+  const net::Endpoint client_c{net::Ipv4(10, 0, 0, 3), 42'000};
+  FeedbackEntry fb;
+  fb.meeting = 1;
+  fb.receiver = 2;
+  fb.sender = 1;
+  fb.sender_rid = 1;
+  fb.video_ssrc = 0xAAAA;
+  fb.remb_allowed = true;
+  dp_.InstallFeedback(10'002, fb);
+  fb.receiver = 3;
+  dp_.InstallFeedback(10'003, fb);
+  EgressEntry out;
+  out.dst = client_a_;
+  out.sfu_src = net::Endpoint{sw_.address(), 10'000};
+  out.receiver = 1;
+  dp_.InstallEgress(EgressKey{client_b_, 1}, out);
+  dp_.InstallEgress(EgressKey{client_c, 1}, out);
+
+  rtp::Nack nack;
+  nack.sender_ssrc = 0xBBBB;
+  nack.media_ssrc = 0xAAAA;
+  nack.sequence_numbers = {3};
+  const std::vector<uint8_t> from_b = rtp::Serialize(rtp::RtcpMessage{nack});
+  nack.sender_ssrc = 0xCCCC;
+  const std::vector<uint8_t> from_c = rtp::Serialize(rtp::RtcpMessage{nack});
+  sw_.OnPacket(net::MakePacket(
+      client_b_, net::Endpoint{sw_.address(), 10'002}, from_b));
+  sw_.OnPacket(net::MakePacket(
+      client_c, net::Endpoint{sw_.address(), 10'003}, from_c));
+  sched_.RunAll();
+
+  ASSERT_EQ(host_a_.packets.size(), 2u);
+  auto translated = rtp::ParseCompound(host_a_.packets[0]->payload_span());
+  ASSERT_TRUE(translated.has_value());
+  EXPECT_EQ(std::get<rtp::Nack>((*translated)[0]).sequence_numbers,
+            (std::vector<uint16_t>{5}));
+  EXPECT_EQ(Bytes(*host_a_.packets[1]), from_c);
+  EXPECT_EQ(dp_.stats().nack_translated, 1u);
+  // The agent sees both NACKs as the receivers sent them.
+  ASSERT_EQ(cpu_packets_.size(), 2u);
+  EXPECT_EQ(Bytes(*cpu_packets_[0]), from_b);
+  EXPECT_EQ(Bytes(*cpu_packets_[1]), from_c);
 }
 
 TEST_F(DataPlaneTest, RewriterPoolExhaustionAndReuse) {
