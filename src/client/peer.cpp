@@ -12,6 +12,8 @@ namespace {
 uint32_t DeriveSsrc(net::Ipv4 addr, uint16_t port, uint8_t media) {
   return (addr.value() ^ (static_cast<uint32_t>(port) << 8)) * 4 + media;
 }
+
+constexpr uint8_t kAudioPayloadType = media::AudioSourceConfig{}.payload_type;
 }  // namespace
 
 Peer::Peer(sim::Scheduler& sched, sim::Network& network, const PeerConfig& cfg)
@@ -204,8 +206,8 @@ void Peer::SendVideoFrame() {
   media::EncodedFrame frame = encoder_->NextFrame(now);
   for (const rtp::RtpPacket& pkt : packetizer_->Packetize(frame, now)) {
     net::PacketPtr out = UplinkPacket();
-    pkt.SerializeInto(out->payload);
-    RememberSent(pkt.sequence_number, out->payload);
+    pkt.SerializeInto(out->payload.Mutable());
+    RememberSent(pkt.sequence_number, out->payload_span());
     ++video_packet_count_;
     video_octet_count_ += static_cast<uint32_t>(pkt.payload.size());
     ++stats_.rtp_sent;
@@ -219,7 +221,7 @@ void Peer::RememberSent(uint16_t seq, std::span<const uint8_t> wire) {
   if (history_.size() < capacity) history_.emplace_back();
   SentPacket& slot = history_[history_next_];
   slot.seq = seq;
-  slot.wire.assign(wire.begin(), wire.end());
+  slot.wire.Assign(wire);
   history_next_ = (history_next_ + 1) % capacity;
 }
 
@@ -240,7 +242,7 @@ void Peer::SendAudioFrame() {
   audio_octet_count_ += static_cast<uint32_t>(pkt.payload.size());
   ++stats_.rtp_sent;
   net::PacketPtr out = UplinkPacket();
-  pkt.SerializeInto(out->payload);
+  pkt.SerializeInto(out->payload.Mutable());
   network_.Send(std::move(out));
 }
 
@@ -367,8 +369,12 @@ void Peer::OnPacket(net::PacketPtr pkt) {
     case rtp::PayloadKind::kRtp: {
       RemoteLeg* leg = LegByLocalPort(pkt->dst.port);
       if (leg == nullptr) return;
-      if (!rtp::RtpPacket::ParseInto(pkt->payload_span(), rx_packet_)) return;
-      HandleMediaPacket(*leg, rx_packet_, arrival, pkt->payload.size());
+      rtp::RtpPacket& rx =
+          rtp::PeekPayloadType(pkt->payload_span()) == kAudioPayloadType
+              ? rx_audio_
+              : rx_video_;
+      if (!rtp::RtpPacket::ParseInto(pkt->payload_span(), rx)) return;
+      HandleMediaPacket(*leg, rx, arrival, pkt->payload.size());
       return;
     }
     default:
@@ -441,7 +447,7 @@ void Peer::HandleNack(const rtp::Nack& nack) {
     ++stats_.retransmissions_sent;
     ++stats_.rtp_sent;
     net::PacketPtr out = UplinkPacket();
-    out->payload.assign(sent->wire.begin(), sent->wire.end());
+    sent->wire.RestoreInto(out->payload.Mutable());
     network_.Send(std::move(out));
   }
 }

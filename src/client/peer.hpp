@@ -21,6 +21,7 @@
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
 #include "stun/stun.hpp"
+#include "util/bytes.hpp"
 
 namespace scallop::client {
 
@@ -166,17 +167,22 @@ class Peer : public sim::Host, public core::SignalingClient {
   // `retransmit_history` video packets sent, in send order. Slot i holds
   // send number i mod capacity, so the newest is at history_next_ - 1 and
   // a seq `d` behind the newest sits `d` slots before it (the packetizer
-  // numbers consecutively). Slots keep their buffers' capacity.
+  // numbers consecutively). A slot keeps the bytes as header plus trailing
+  // run: media bodies are one repeated byte, so a slot costs about a
+  // header, and its buffer keeps its capacity.
   struct SentPacket {
     uint16_t seq = 0;
-    std::vector<uint8_t> wire;
+    util::TrailingRunBytes wire;
   };
   void RememberSent(uint16_t seq, std::span<const uint8_t> wire);
   const SentPacket* FindSent(uint16_t seq) const;
   std::vector<SentPacket> history_;
   size_t history_next_ = 0;  // slot of the next packet sent
-  // The one RtpPacket every received media packet is parsed into.
-  rtp::RtpPacket rx_packet_;
+  // Received media packets are parsed into one long-lived RtpPacket per
+  // kind, so audio (one extension) and video (two) never shrink each
+  // other's extension vectors and free their buffers.
+  rtp::RtpPacket rx_video_;
+  rtp::RtpPacket rx_audio_;
 
   std::vector<std::unique_ptr<sim::PeriodicTask>> tasks_;
   std::map<uint64_t, util::TimeUs> stun_inflight_;  // tid hash -> send time

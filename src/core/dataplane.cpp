@@ -278,7 +278,10 @@ bool DataPlaneProgram::Egress(net::Packet& pkt,
             }
             return false;
           }
-          rtp::PatchSequenceNumber(pkt.payload, res.out_seq);
+          // Un-shares this replica's payload only when its seq changes.
+          if (res.out_seq != *seq) {
+            rtp::PatchSequenceNumber(pkt.payload.Mutable(), res.out_seq);
+          }
           ++stats_.seq_rewritten;
         } else if (suppress) {
           ++stats_.svc_suppressed;
@@ -309,7 +312,7 @@ bool DataPlaneProgram::Egress(net::Packet& pkt,
             }
           }
           if (changed) {
-            pkt.payload = rtp::SerializeCompound(*msgs);
+            pkt.payload.Mutable() = rtp::SerializeCompound(*msgs);
             ++stats_.nack_translated;
           }
         }

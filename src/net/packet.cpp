@@ -5,45 +5,50 @@
 namespace scallop::net {
 namespace {
 
-// Freelist of Packet objects. Recycled packets keep their payload vector's
-// capacity, so a steady-state simulation stops paying a payload allocation
-// per replicated copy. The pool is intentionally leaked: packets may be
+// Idle objects of one type, kept process-wide for reuse (the simulation is
+// single-threaded). Each freelist is intentionally leaked: packets may be
 // destroyed during static teardown (e.g. a test fixture member), after a
-// function-local static pool would already be gone.
-class PacketPool {
- public:
-  Packet* Get() {
-    if (free_.empty()) return new Packet();
-    Packet* p = free_.back();
-    free_.pop_back();
-    return p;
-  }
-  void Put(Packet* p) {
-    if (free_.size() >= kMaxFree) {
-      delete p;
-      return;
-    }
-    free_.push_back(p);
-  }
+// function-local static freelist would already be gone.
+template <typename T>
+std::vector<T*>& Idle() {
+  static auto* idle = new std::vector<T*>();
+  return *idle;
+}
 
- private:
-  // Bounds idle memory: 16k ~1.2 KB payloads ≈ 20 MB worst case.
-  static constexpr size_t kMaxFree = 16384;
-  std::vector<Packet*> free_;
-};
+// Bounds each freelist. Idle packets hold no payload (a released packet
+// drops its reference first), so their list stays under 1 MB; idle payload
+// buffers keep their capacity, at most the largest payload written into
+// them (~1.2 KB of video), so that list stays near 20 MB.
+constexpr size_t kMaxIdle = 16384;
 
-PacketPool& Pool() {
-  static PacketPool* pool = new PacketPool();
-  return *pool;
+template <typename T>
+T* TakeIdle() {
+  std::vector<T*>& idle = Idle<T>();
+  if (idle.empty()) return nullptr;
+  T* p = idle.back();
+  idle.pop_back();
+  return p;
+}
+
+// False when the freelist is full and the caller must free `p` itself.
+template <typename T>
+bool KeepIdle(T* p) {
+  std::vector<T*>& idle = Idle<T>();
+  if (idle.size() >= kMaxIdle) return false;
+  idle.push_back(p);
+  return true;
 }
 
 struct PoolDeleter {
-  void operator()(Packet* p) const { Pool().Put(p); }
+  void operator()(Packet* p) const {
+    p->payload.Reset();
+    if (!KeepIdle(p)) delete p;
+  }
 };
 
 // Allocates the shared_ptr control blocks of pooled packets from a
-// freelist of its own, so handing out a packet allocates nothing once the
-// pools are warm. Leaked like the packet pool, for the same reason.
+// freelist of their own, so handing out a packet allocates nothing once
+// the freelists are warm.
 template <typename T>
 struct ControlBlockAllocator {
   using value_type = T;
@@ -52,37 +57,50 @@ struct ControlBlockAllocator {
   ControlBlockAllocator(const ControlBlockAllocator<U>&) {}
 
   T* allocate(size_t n) {
-    std::vector<T*>& free = Free();
-    if (n != 1 || free.empty()) return std::allocator<T>().allocate(n);
-    T* p = free.back();
-    free.pop_back();
-    return p;
+    T* p = n == 1 ? TakeIdle<T>() : nullptr;
+    return p != nullptr ? p : std::allocator<T>().allocate(n);
   }
   void deallocate(T* p, size_t n) {
-    std::vector<T*>& free = Free();
-    if (n != 1 || free.size() >= kMaxFreeBlocks) {
-      std::allocator<T>().deallocate(p, n);
-      return;
-    }
-    free.push_back(p);
+    if (n != 1 || !KeepIdle(p)) std::allocator<T>().deallocate(p, n);
   }
   template <typename U>
   bool operator==(const ControlBlockAllocator<U>&) const {
     return true;
   }
-
- private:
-  static constexpr size_t kMaxFreeBlocks = 16384;
-  static std::vector<T*>& Free() {
-    static auto* free = new std::vector<T*>();
-    return *free;
-  }
 };
 
 }  // namespace
 
+const std::vector<uint8_t>& Payload::Empty() {
+  // Leaked like the freelists: released packets may still be read during
+  // static teardown.
+  static const auto* empty = new std::vector<uint8_t>();
+  return *empty;
+}
+
+void Payload::Recycle(Buffer* buf) {
+  if (!KeepIdle(buf)) delete buf;
+}
+
+std::vector<uint8_t>& Payload::Mutable() {
+  if (buf_ != nullptr && buf_->refs == 1) return buf_->bytes;
+  Buffer* own = TakeIdle<Buffer>();
+  if (own == nullptr) own = new Buffer();
+  own->refs = 1;
+  if (buf_ != nullptr) {
+    // Shared: this handle takes a copy and leaves the others theirs.
+    own->bytes.assign(buf_->bytes.begin(), buf_->bytes.end());
+    --buf_->refs;
+  } else {
+    own->bytes.clear();
+  }
+  buf_ = own;
+  return own->bytes;
+}
+
 PacketPtr AcquirePacket() {
-  Packet* p = Pool().Get();
+  Packet* p = TakeIdle<Packet>();
+  if (p == nullptr) p = new Packet();
   p->sent_at = 0;
   p->arrival = 0;
   p->ingress_port = 0;
@@ -91,7 +109,7 @@ PacketPtr AcquirePacket() {
 
 PacketPtr ClonePacket(const Packet& p) {
   PacketPtr q = AcquirePacket();
-  // Copy-assignment reuses the recycled payload buffer's capacity.
+  // Copy-assignment shares the payload buffer: no payload bytes move.
   *q = p;
   return q;
 }

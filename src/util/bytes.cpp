@@ -117,6 +117,20 @@ uint8_t ByteReader::PeekU8() const {
   return data_[pos_];
 }
 
+void TrailingRunBytes::Assign(std::span<const uint8_t> bytes) {
+  size_t head_size = bytes.size();
+  fill = bytes.empty() ? 0 : bytes.back();
+  while (head_size > 0 && bytes[head_size - 1] == fill) --head_size;
+  head.assign(bytes.begin(), bytes.begin() + static_cast<ptrdiff_t>(head_size));
+  run = static_cast<uint32_t>(bytes.size() - head_size);
+}
+
+void TrailingRunBytes::RestoreInto(std::vector<uint8_t>& out) const {
+  out.reserve(size());
+  out.assign(head.begin(), head.end());
+  out.insert(out.end(), run, fill);
+}
+
 std::string ToHex(std::span<const uint8_t> bytes) {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string out;

@@ -77,6 +77,21 @@ class ByteReader {
   bool ok_ = true;
 };
 
+// A byte string stored as its head plus the trailing run of one repeated
+// byte, kept as a length and that byte. Lossless for any byte string, and
+// as small as the head when the tail is one run (an RTP header followed by
+// a constant-filled body). Every vector keeps its capacity across Assign.
+struct TrailingRunBytes {
+  std::vector<uint8_t> head;
+  uint32_t run = 0;  // length of the trailing run (0 only when empty)
+  uint8_t fill = 0;  // the run's byte
+
+  void Assign(std::span<const uint8_t> bytes);
+  // Writes the original bytes over `out`.
+  void RestoreInto(std::vector<uint8_t>& out) const;
+  size_t size() const { return head.size() + run; }
+};
+
 // Hex dump helper for debugging and trace output.
 std::string ToHex(std::span<const uint8_t> bytes);
 

@@ -58,6 +58,48 @@ TEST(Bytes, HexDump) {
   EXPECT_EQ(ToHex(buf), "00ff1a");
 }
 
+// TrailingRunBytes round-trips any byte string exactly, whatever its
+// tail looks like.
+TEST(Bytes, TrailingRunRoundTrips) {
+  const std::vector<std::vector<uint8_t>> cases = {
+      {},                               // empty
+      {7},                              // one byte
+      {1, 2, 3, 4},                     // no run longer than one byte
+      std::vector<uint8_t>(300, 0xAB),  // all one byte
+      {0x80, 96, 0, 5, 5, 5, 5},        // header ends in the fill byte
+      {5, 5, 1, 5, 5},                  // the fill byte also inside
+      {0, 0, 9, 0},                     // a zero fill
+  };
+  TrailingRunBytes stored;
+  std::vector<uint8_t> restored = {42, 42};  // overwritten, not appended to
+  for (const auto& bytes : cases) {
+    stored.Assign(bytes);
+    EXPECT_EQ(stored.size(), bytes.size());
+    stored.RestoreInto(restored);
+    EXPECT_EQ(restored, bytes) << ToHex(bytes);
+  }
+}
+
+TEST(Bytes, TrailingRunKeepsOnlyTheHead) {
+  std::vector<uint8_t> bytes = {0x80, 96, 0, 1, 2};
+  bytes.insert(bytes.end(), 1200, 0x11);
+  TrailingRunBytes stored;
+  stored.Assign(bytes);
+  EXPECT_EQ(stored.head, (std::vector<uint8_t>{0x80, 96, 0, 1, 2}));
+  EXPECT_EQ(stored.run, 1200u);
+  EXPECT_EQ(stored.fill, 0x11);
+
+  // A header whose last byte equals the fill byte folds into the run.
+  stored.Assign(std::vector<uint8_t>{9, 3, 3, 3});
+  EXPECT_EQ(stored.head, (std::vector<uint8_t>{9}));
+  EXPECT_EQ(stored.run, 3u);
+
+  stored.Assign(std::vector<uint8_t>(64, 0));
+  EXPECT_TRUE(stored.head.empty());
+  EXPECT_EQ(stored.run, 64u);
+  EXPECT_EQ(stored.fill, 0);
+}
+
 TEST(SeqNum, NewerAcrossWrap) {
   EXPECT_TRUE(SeqNewer(1, 0xffff));
   EXPECT_TRUE(SeqNewer(100, 50));
