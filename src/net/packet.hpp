@@ -64,7 +64,6 @@ class Payload {
     return buf_ != nullptr ? buf_->bytes : Empty();
   }
   operator const std::vector<uint8_t>&() const { return bytes(); }
-  std::span<const uint8_t> span() const { return bytes(); }
   size_t size() const { return bytes().size(); }
   bool empty() const { return bytes().empty(); }
   const uint8_t* data() const { return bytes().data(); }
@@ -102,7 +101,7 @@ struct Packet {
   // Total bytes on the wire including L3/L4 headers (no Ethernet).
   size_t wire_size() const { return payload.size() + kL3L4Overhead; }
 
-  std::span<const uint8_t> payload_span() const { return payload.span(); }
+  std::span<const uint8_t> payload_span() const { return payload.bytes(); }
 };
 
 using PacketPtr = std::shared_ptr<Packet>;
@@ -117,7 +116,10 @@ inline PacketPtr MakePacket(Endpoint src, Endpoint dst,
   PacketPtr p = AcquirePacket();
   p->src = src;
   p->dst = dst;
-  p->payload.Mutable() = std::move(payload);
+  // Copied, not moved in: the pooled buffer keeps its capacity for the
+  // next (larger) payload written into it.
+  std::vector<uint8_t>& bytes = p->payload.Mutable();
+  bytes.assign(payload.begin(), payload.end());
   return p;
 }
 

@@ -1,5 +1,7 @@
 #include "util/bytes.hpp"
 
+#include <cstring>
+
 namespace scallop::util {
 
 void ByteWriter::WriteU8(uint8_t v) { buf_.push_back(v); }
@@ -120,6 +122,14 @@ uint8_t ByteReader::PeekU8() const {
 void TrailingRunBytes::Assign(std::span<const uint8_t> bytes) {
   size_t head_size = bytes.size();
   fill = bytes.empty() ? 0 : bytes.back();
+  // Eight bytes per step over the run, then the last few one at a time.
+  const uint64_t word_of_fill = 0x0101'0101'0101'0101ull * fill;
+  while (head_size >= 8) {
+    uint64_t word;
+    std::memcpy(&word, bytes.data() + head_size - 8, 8);
+    if (word != word_of_fill) break;
+    head_size -= 8;
+  }
   while (head_size > 0 && bytes[head_size - 1] == fill) --head_size;
   head.assign(bytes.begin(), bytes.begin() + static_cast<ptrdiff_t>(head_size));
   run = static_cast<uint32_t>(bytes.size() - head_size);

@@ -66,7 +66,7 @@ TEST(PayloadTest, ReadsSeeTheFullBytes) {
 
   Payload empty;
   EXPECT_TRUE(empty.empty());
-  EXPECT_TRUE(empty.span().empty());
+  EXPECT_EQ(empty.begin(), empty.end());
 }
 
 TEST(PayloadTest, HandleCopiesAndMovesKeepOneBuffer) {

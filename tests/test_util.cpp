@@ -98,6 +98,22 @@ TEST(Bytes, TrailingRunKeepsOnlyTheHead) {
   EXPECT_TRUE(stored.head.empty());
   EXPECT_EQ(stored.run, 64u);
   EXPECT_EQ(stored.fill, 0);
+
+  // Every run length across the word-sized steps, after heads of every
+  // alignment.
+  std::vector<uint8_t> restored;
+  for (size_t head = 1; head <= 9; ++head) {
+    for (size_t run = 1; run <= 25; ++run) {
+      std::vector<uint8_t> in(head, 0x10);
+      in.back() = 0x20;
+      in.insert(in.end(), run, 0x30);
+      stored.Assign(in);
+      EXPECT_EQ(stored.head.size(), head);
+      EXPECT_EQ(stored.run, run);
+      stored.RestoreInto(restored);
+      EXPECT_EQ(restored, in);
+    }
+  }
 }
 
 TEST(SeqNum, NewerAcrossWrap) {
