@@ -134,30 +134,42 @@ int main() {
   const bool full = bench::FullScale();
   const int rounds = full ? 30 : 10;
   const int per_round = 8'192;
+  // Each metric is the median of this many timed passes.
+  const int passes = 5;
 
-  uint64_t fwd_delivered = 0;
-  double fwd = Measure(/*with_svc=*/false, rounds, per_round, &fwd_delivered);
-  if (fwd_delivered != static_cast<uint64_t>(rounds) * per_round) {
-    std::printf("FAIL: forward leg delivered %llu of %llu packets\n",
-                static_cast<unsigned long long>(fwd_delivered),
-                static_cast<unsigned long long>(
-                    static_cast<uint64_t>(rounds) * per_round));
-    return 1;
-  }
+  bool fwd_ok = true;
+  double fwd = bench::MedianOfPasses(passes, [&] {
+    uint64_t delivered = 0;
+    double rate = Measure(/*with_svc=*/false, rounds, per_round, &delivered);
+    if (delivered != static_cast<uint64_t>(rounds) * per_round) {
+      std::printf("FAIL: forward leg delivered %llu of %llu packets\n",
+                  static_cast<unsigned long long>(delivered),
+                  static_cast<unsigned long long>(
+                      static_cast<uint64_t>(rounds) * per_round));
+      fwd_ok = false;
+    }
+    return rate;
+  });
+  if (!fwd_ok) return 1;
 
-  uint64_t svc_delivered = 0;
-  double svc = Measure(/*with_svc=*/true, rounds, per_round, &svc_delivered);
   // Decode target 1 keeps 3 of every 5 L1T3 frames.
   const uint64_t expected_svc =
       static_cast<uint64_t>(rounds) *
       (static_cast<uint64_t>(per_round) / 5 * 3 + per_round % 5);
-  if (svc_delivered < expected_svc - rounds ||
-      svc_delivered > expected_svc + rounds) {
-    std::printf("FAIL: svc leg delivered %llu packets, expected ~%llu\n",
-                static_cast<unsigned long long>(svc_delivered),
-                static_cast<unsigned long long>(expected_svc));
-    return 1;
-  }
+  bool svc_ok = true;
+  double svc = bench::MedianOfPasses(passes, [&] {
+    uint64_t delivered = 0;
+    double rate = Measure(/*with_svc=*/true, rounds, per_round, &delivered);
+    if (delivered < expected_svc - rounds ||
+        delivered > expected_svc + rounds) {
+      std::printf("FAIL: svc leg delivered %llu packets, expected ~%llu\n",
+                  static_cast<unsigned long long>(delivered),
+                  static_cast<unsigned long long>(expected_svc));
+      svc_ok = false;
+    }
+    return rate;
+  });
+  if (!svc_ok) return 1;
 
   std::printf("forward: %.3g pkts/s   svc+rewrite: %.3g pkts/s\n", fwd, svc);
 

@@ -25,6 +25,7 @@
 // (fail on a >40% drop); informational metrics set it to false.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <string>
@@ -85,5 +86,17 @@ class WallTimer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
+
+// Calls `pass` (one timed pass returning a rate) `passes` times and
+// returns the median rate: one pass slowed by a busy shared host does not
+// set the reported value.
+template <typename Pass>
+double MedianOfPasses(int passes, Pass&& pass) {
+  std::vector<double> rates;
+  for (int i = 0; i < passes; ++i) rates.push_back(pass());
+  std::sort(rates.begin(), rates.end());
+  const size_t n = rates.size();
+  return n % 2 == 1 ? rates[n / 2] : (rates[n / 2 - 1] + rates[n / 2]) / 2;
+}
 
 }  // namespace scallop::bench
