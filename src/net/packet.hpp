@@ -116,10 +116,14 @@ inline PacketPtr MakePacket(Endpoint src, Endpoint dst,
   PacketPtr p = AcquirePacket();
   p->src = src;
   p->dst = dst;
-  // Copied, not moved in: the pooled buffer keeps its capacity for the
-  // next (larger) payload written into it.
+  // Keep whichever allocation is larger in the pooled buffer: take the
+  // caller's by swap, or copy a small payload into the pooled capacity.
   std::vector<uint8_t>& bytes = p->payload.Mutable();
-  bytes.assign(payload.begin(), payload.end());
+  if (payload.capacity() >= bytes.capacity()) {
+    bytes.swap(payload);
+  } else {
+    bytes.assign(payload.begin(), payload.end());
+  }
   return p;
 }
 
