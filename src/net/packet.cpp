@@ -16,7 +16,7 @@ std::vector<T*>& Idle() {
 }
 
 // Bounds each freelist. Idle packets hold no payload (a released packet
-// drops its reference first), so their list stays under 1 MB; idle payload
+// drops its reference first), so their list stays near 1 MB; idle payload
 // buffers keep their capacity, at most the largest payload written into
 // them (~1.2 KB of video), so that list stays near 20 MB.
 constexpr size_t kMaxIdle = 16384;
