@@ -7,6 +7,8 @@
 
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "harness/runner.hpp"
 #include "testbed/fleet_testbed.hpp"
@@ -59,22 +61,108 @@ TEST(Federation, SpecValidationRejectsBadRegionCounts) {
   EXPECT_THROW({ ScenarioRunner r(late); }, std::invalid_argument);
 }
 
-TEST(Federation, SingleRegionIsByteIdenticalToClassicFleet) {
-  // fleet{N,R=1} is the refactor's null case: the plane forwards straight
-  // to one FleetController and the CSV — label included — must be
-  // byte-for-byte what fleet{N} produced before federation existed.
-  EXPECT_EQ(testbed::BackendChoice::Fleet(2, 1).Label(), "fleet{2}");
-  ScenarioSpec classic = ScenarioSpec::Uniform("fed-null", 2, 3, 5.0);
-  classic.WithBackend(testbed::BackendChoice::Fleet(2))
-      .WithControlPlane(0.002, 0.0);
-  ScenarioSpec viaplane = classic;
-  viaplane.WithBackend(testbed::BackendChoice::Fleet(2, 1));
-  ScenarioRunner a(classic);
-  ScenarioRunner b(viaplane);
-  const std::string csv_a = a.Run().ToCsv();
-  const std::string csv_b = b.Run().ToCsv();
-  EXPECT_EQ(csv_a, csv_b);
-  EXPECT_EQ(csv_a.find("federation,"), std::string::npos);
+// Every global view the plane answers must equal its sole controller's
+// own answer: with one region, global and controller-local switch
+// numbering coincide.
+void ExpectPlaneMatchesSoleRegion(const core::FederatedControlPlane& fed,
+                                  const std::vector<core::MeetingId>& meetings,
+                                  const char* when) {
+  SCOPED_TRACE(when);
+  const core::FleetController& fc = fed.region(0);
+  for (core::MeetingId m : meetings) {
+    const core::MeetingPlacement p = fed.PlacementOf(m);
+    const core::MeetingPlacement q = fc.PlacementOf(m);
+    EXPECT_EQ(p.home, q.home);
+    EXPECT_EQ(p.local_meeting, q.local_meeting);
+    EXPECT_EQ(p.home_participants, q.home_participants);
+    ASSERT_EQ(p.spans.size(), q.spans.size());
+    for (size_t i = 0; i < p.spans.size(); ++i) {
+      EXPECT_EQ(p.spans[i].switch_index, q.spans[i].switch_index);
+      EXPECT_EQ(p.spans[i].local_meeting, q.spans[i].local_meeting);
+      EXPECT_EQ(p.spans[i].parent, q.spans[i].parent);
+      EXPECT_EQ(p.spans[i].participants, q.spans[i].participants);
+    }
+    const std::vector<core::MeetingRelay> r = fed.RelaysOf(m);
+    const std::vector<core::MeetingRelay> s = fc.RelaysOf(m);
+    ASSERT_EQ(r.size(), s.size());
+    for (size_t i = 0; i < r.size(); ++i) {
+      EXPECT_EQ(r[i].origin, s[i].origin);
+      EXPECT_EQ(r[i].upstream, s[i].upstream);
+      EXPECT_EQ(r[i].downstream, s[i].downstream);
+      EXPECT_EQ(r[i].upstream_sender, s[i].upstream_sender);
+      EXPECT_EQ(r[i].relay_receiver, s[i].relay_receiver);
+      EXPECT_EQ(r[i].relay_sender, s[i].relay_sender);
+      EXPECT_EQ(r[i].backbone_path, s[i].backbone_path);
+      EXPECT_EQ(r[i].load_bps, s[i].load_bps);
+    }
+  }
+  for (size_t i = 0; i < fed.switch_count(); ++i) {
+    EXPECT_EQ(fed.LoadOf(i), fc.LoadOf(i));
+    EXPECT_EQ(fed.MeetingsOn(i), fc.MeetingsOn(i));
+    for (size_t j = i + 1; j < fed.switch_count(); ++j) {
+      EXPECT_EQ(fed.LinkLoad(i, j), fc.topology().LoadOf(i, j));
+    }
+  }
+  const core::FleetStats a = fed.TotalFleetStats();
+  const core::FleetStats& b = fc.stats();
+  EXPECT_EQ(a.meetings_placed, b.meetings_placed);
+  EXPECT_EQ(a.placements_rebalanced, b.placements_rebalanced);
+  EXPECT_EQ(a.rebalance_migrations, b.rebalance_migrations);
+  EXPECT_EQ(a.heartbeats_seen, b.heartbeats_seen);
+  EXPECT_EQ(a.heartbeats_missed, b.heartbeats_missed);
+  EXPECT_EQ(a.load_reports_seen, b.load_reports_seen);
+  EXPECT_EQ(a.switches_failed, b.switches_failed);
+  EXPECT_EQ(a.relay_spans_installed, b.relay_spans_installed);
+  EXPECT_EQ(a.relay_spans_removed, b.relay_spans_removed);
+  EXPECT_EQ(a.relay_replans, b.relay_replans);
+  EXPECT_EQ(a.secondary_trees_installed, b.secondary_trees_installed);
+  EXPECT_EQ(a.secondary_trees_removed, b.secondary_trees_removed);
+  EXPECT_EQ(a.tree_flips, b.tree_flips);
+  EXPECT_EQ(a.hitless_migrations, b.hitless_migrations);
+}
+
+TEST(Federation, SingleRegionPlaneAnswersAsItsController) {
+  // fleet{N} is fleet{N,1}: one region behind the plane. Cascaded
+  // meetings over a declared backbone, a capacity cut that forces a
+  // replan, and the rebalancer give every global view something to map.
+  EXPECT_EQ(testbed::BackendChoice::Fleet(3, 1).Label(), "fleet{3}");
+  ScenarioSpec spec = FederatedSpec("fed-one-region", 3, 1, 3, 4, 6.0);
+  spec.base.peer.encoder.start_bitrate_bps = 700'000;
+  spec.WithPlacementPolicy(core::PlacementPolicyConfig::Cascade(2))
+      .WithControlPlane(0.002, 0.0)
+      .WithInterSwitchLink(0, 1, 0.002, 40e6)
+      .WithInterSwitchLink(1, 2, 0.002, 40e6)
+      .WithInterSwitchLinkEvent(3.0, 0, 1, 1.0)
+      .WithRebalance(1.0, 2);
+  ScenarioRunner runner(spec);
+  const core::FederatedControlPlane& fed = runner.fleet().federation();
+  ASSERT_EQ(fed.regions(), 1u);
+  const std::vector<core::MeetingId> meetings = {
+      runner.meeting_id(0), runner.meeting_id(1), runner.meeting_id(2)};
+  size_t relays_seen = 0;
+  for (double t : {0.5, 1.5, 2.9, 3.2, 4.5}) {
+    runner.RunUntil(t);
+    ExpectPlaneMatchesSoleRegion(fed, meetings,
+                                 ("t=" + std::to_string(t)).c_str());
+    for (core::MeetingId m : meetings) relays_seen += fed.RelaysOf(m).size();
+  }
+  const ScenarioMetrics& m = runner.Run();
+  ExpectPlaneMatchesSoleRegion(fed, meetings, "end");
+  EXPECT_GT(relays_seen, 0u) << "no meeting ever cascaded";
+  EXPECT_GT(fed.TotalFleetStats().relay_replans, 0u)
+      << "the capacity cut forced no replan";
+  EXPECT_EQ(m.ToCsv().find("federation,"), std::string::npos);
+
+  // The plane's CreateMeeting is CreateMeetingIn with no region preference.
+  testbed::FleetTestbed any({}, 3, 1);
+  testbed::FleetTestbed pinned({}, 3, 1);
+  for (int i = 0; i < 4; ++i) {
+    const core::MeetingId a = any.federation().CreateMeeting();
+    const core::MeetingId b = pinned.federation().CreateMeetingIn(SIZE_MAX);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(any.federation().PlacementOf(a).home,
+              pinned.federation().PlacementOf(b).home);
+  }
 }
 
 TEST(Federation, DeterministicCsvUnderEastWestImpairment) {
