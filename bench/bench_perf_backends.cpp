@@ -3,7 +3,8 @@
 // backends and reports simulated seconds per wall second for each — the
 // repo's headline "how fast does the whole simulator go" number — plus a
 // southbound command microloop (create/program/tear down meetings through
-// a zero-latency ControlChannel) for the control-plane write path.
+// a zero-latency ControlChannel) for the control-plane write path. Each
+// metric is the median of three timed passes.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -76,20 +77,23 @@ int main() {
   const int meetings = 8;
   const int peers = 5;
   const double duration_s = full ? 30.0 : 10.0;
+  const int passes = 3;
 
   bool ok = true;
-  double scallop_rate =
-      BackendRate(testbed::BackendChoice::Scallop(), meetings, peers,
-                  duration_s, &ok);
-  double fleet_rate = BackendRate(testbed::BackendChoice::Fleet(4), meetings,
-                                  peers, duration_s, &ok);
-  double software_rate =
-      BackendRate(testbed::BackendChoice::Software(), meetings, peers,
-                  duration_s, &ok);
+  auto median_rate = [&](const testbed::BackendChoice& choice) {
+    return bench::MedianOfPasses(passes, [&] {
+      return BackendRate(choice, meetings, peers, duration_s, &ok);
+    });
+  };
+  double scallop_rate = median_rate(testbed::BackendChoice::Scallop());
+  double fleet_rate = median_rate(testbed::BackendChoice::Fleet(4));
+  double software_rate = median_rate(testbed::BackendChoice::Software());
   if (!ok) return 1;
 
   uint64_t commands = 0;
-  double southbound = SouthboundRate(full ? 12'000 : 6'000, &commands);
+  double southbound = bench::MedianOfPasses(passes, [&] {
+    return SouthboundRate(full ? 12'000 : 6'000, &commands);
+  });
 
   std::printf(
       "scallop: %.3g sim-s/wall-s   fleet{4}: %.3g   software: %.3g   "

@@ -4,7 +4,8 @@
 // east-west federation plane (a fleet{6,2} scenario with cross-region
 // placement and a mid-run controller death; reports controller-to-
 // controller messages per wall second). Guards the federation against
-// silently regressing into a bottleneck as the fleet grows.
+// silently regressing into a bottleneck as the fleet grows. Each metric is
+// the median of three timed passes.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -80,12 +81,17 @@ int main() {
   bench::Header("Perf: southbound commands + east-west federation messages");
 
   const bool full = bench::FullScale();
+  const int passes = 3;
 
   bool ok = true;
   uint64_t commands = 0;
-  double southbound = SouthboundRate(full ? 12'000 : 6'000, &commands);
+  double southbound = bench::MedianOfPasses(passes, [&] {
+    return SouthboundRate(full ? 12'000 : 6'000, &commands);
+  });
   uint64_t messages = 0;
-  double east_west = EastWestRate(full ? 20.0 : 8.0, &messages, &ok);
+  double east_west = bench::MedianOfPasses(passes, [&] {
+    return EastWestRate(full ? 20.0 : 8.0, &messages, &ok);
+  });
   if (!ok) return 1;
 
   std::printf(

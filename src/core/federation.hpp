@@ -6,10 +6,10 @@
 // The split happens in two layers:
 //
 //   * MeetingDirectory — FleetController's meeting state (placement,
-//     membership, relay wiring, rebalance hysteresis) extracted behind a
-//     shardable interface. Each regional controller owns exactly the
-//     directory shard for the meetings it placed; the plane never peeks
-//     into a shard except through its owner (or when adopting it).
+//     membership, relay wiring, rebalance hysteresis), one shard per
+//     controller. Each regional controller owns exactly the directory
+//     shard for the meetings it placed; the plane never peeks into a
+//     shard except through its owner (or when adopting it).
 //
 //   * FederatedControlPlane — the east-west layer. Controllers peer over
 //     MessageConduits carrying the same latency/loss/ack semantics as
@@ -23,9 +23,10 @@
 //     switches — on controller death the lowest live peer adopts the
 //     orphaned shard (switches, directory, relay load) and life goes on.
 //
-// R == 1 is the degenerate federation: one region, no conduits, no
-// tasks, every call forwarded straight to the single FleetController —
-// byte-identical to the pre-federation fleet.
+// R == 1 is a federation of one: the same code with a single region, no
+// conduits and no peering tasks. Its region mints the single-controller
+// id spaces and its global switch numbering is the controller's own, so
+// fleet{N} is fleet{N,1}.
 #pragma once
 
 #include <cstdint>
@@ -134,42 +135,27 @@ struct MeetingRecord {
   util::TimeUs last_migrated = 0;
 };
 
-// The shardable meeting-state store. A controller owns exactly one shard
-// and goes through this interface for every meeting it tracks, so the
-// store's locality is an implementation detail: the local shard below is
-// a plain map, and the federation hands whole shards between controllers
-// on adoption without FleetController noticing.
+// One controller's shard of the meeting-state store: the records of the
+// meetings it placed, by meeting id. The federation hands a dead
+// controller's records to its adopter by moving them between shards.
 class MeetingDirectory {
  public:
-  virtual ~MeetingDirectory() = default;
-  virtual MeetingRecord* Find(MeetingId id) = 0;
-  virtual const MeetingRecord* Find(MeetingId id) const = 0;
-  virtual MeetingRecord& Emplace(MeetingId id, MeetingRecord record) = 0;
-  virtual void Erase(MeetingId id) = 0;
-  virtual size_t size() const = 0;
-  // Every tracked meeting id, ascending. Iteration goes through this (not
-  // raw map iterators) so mutation during a sweep is safe and sharded
-  // backends need not expose stable iterators.
-  virtual std::vector<MeetingId> Ids() const = 0;
-};
-
-// The default single-region shard: an in-memory ordered map.
-class LocalDirectoryShard : public MeetingDirectory {
- public:
-  MeetingRecord* Find(MeetingId id) override {
+  MeetingRecord* Find(MeetingId id) {
     auto it = records_.find(id);
     return it == records_.end() ? nullptr : &it->second;
   }
-  const MeetingRecord* Find(MeetingId id) const override {
+  const MeetingRecord* Find(MeetingId id) const {
     auto it = records_.find(id);
     return it == records_.end() ? nullptr : &it->second;
   }
-  MeetingRecord& Emplace(MeetingId id, MeetingRecord record) override {
+  MeetingRecord& Emplace(MeetingId id, MeetingRecord record) {
     return records_.insert_or_assign(id, std::move(record)).first->second;
   }
-  void Erase(MeetingId id) override { records_.erase(id); }
-  size_t size() const override { return records_.size(); }
-  std::vector<MeetingId> Ids() const override {
+  void Erase(MeetingId id) { records_.erase(id); }
+  size_t size() const { return records_.size(); }
+  // Every tracked meeting id, ascending. Sweeps iterate this copy, not
+  // the map, so they may erase or emplace records as they go.
+  std::vector<MeetingId> Ids() const {
     std::vector<MeetingId> ids;
     ids.reserve(records_.size());
     for (const auto& [id, rec] : records_) ids.push_back(id);
@@ -221,15 +207,16 @@ class FederatedControlPlane : public SignalingServer {
   size_t AddSwitch(ControlChannel& channel, net::Ipv4 sfu_ip);
   // Starts east-west peering (controller heartbeats + the per-region
   // failure detectors). Call once, after every switch is registered.
-  // No-op for R == 1.
+  // A lone region has no peers and arms nothing.
   void Activate();
 
   // ---- signaling (any region can serve any meeting) ----------------------
   MeetingId CreateMeeting();
-  // Follow-the-sun placement: mints the meeting in region `r` (announced
-  // east-west like CreateMeeting) so load genuinely lands where the spec
-  // says the day currently is. Falls back to the global least-loaded
-  // region when `r` is dead; identical to CreateMeeting for R == 1.
+  // Follow-the-sun placement: mints the meeting in region `r` and
+  // announces it east-west, so load genuinely lands where the spec says
+  // the day currently is. A dead or out-of-range `r` falls back to the
+  // region holding the global least-loaded switch; CreateMeeting is
+  // CreateMeetingIn(SIZE_MAX).
   MeetingId CreateMeetingIn(size_t r);
   JoinResult Join(MeetingId meeting, const sdp::SessionDescription& offer,
                   SignalingClient* client) override;
@@ -237,8 +224,8 @@ class FederatedControlPlane : public SignalingServer {
   // Region-pinned signaling face for roaming clients: Joins/Leaves enter
   // the federation at region `r` (their current access region) instead of
   // the round-robin ingress, resolving the owner east-west from there. A
-  // dead ingress region falls back to round-robin. For R == 1 this is the
-  // plane itself. The reference stays valid for the plane's lifetime.
+  // dead ingress region falls back to round-robin. The reference stays
+  // valid for the plane's lifetime.
   SignalingServer& ingress(size_t r);
   // Join/Leave through region `r`; Join/Leave above are these through
   // kAnyIngress (round-robin). A join for a meeting whose owner died
@@ -259,9 +246,9 @@ class FederatedControlPlane : public SignalingServer {
   void ConfigureInterSwitchLink(size_t a, size_t b, double latency_s,
                                 double capacity_bps);
   void SetInterSwitchLinkCapacity(size_t a, size_t b, double capacity_bps);
-  // R == 1: the single region's live view. R > 1: the plane's global
-  // link-state view (per-region controllers keep slice-local views; use
-  // LinkLoad for the federated load on a link).
+  // The plane's global link-state view: declared links and their current
+  // capacities. Relay load lives in the regions' slice-local views; read
+  // it through LinkLoad.
   const InterSwitchTopology& topology() const;
   void EnableRebalancer(const RebalanceConfig& cfg);
   // Redundant dual relay trees + make-before-break migration: forwarded
@@ -407,11 +394,10 @@ class FederatedControlPlane : public SignalingServer {
   // moves on adoption.
   std::vector<size_t> owner_region_;
   std::vector<size_t> owner_local_;
-  // Upper-triangle pair conduits (R > 1 only), indexed by PairIndex.
+  // Upper-triangle pair conduits (none for R == 1), indexed a * R + b.
   std::vector<std::unique_ptr<MessageConduit>> conduits_;
   ConduitStats ew_stats_;
-  // Global link-state view for R > 1 (per-region controllers only see
-  // their slice).
+  // Global link-state view (per-region controllers only see their slice).
   InterSwitchTopology global_topology_;
   std::function<void(MeetingId, size_t, size_t)> migration_cb_;
   std::function<void(MeetingId, size_t, size_t)> hitless_cb_;

@@ -24,8 +24,7 @@ std::string TraceDetail(const char* fmt, ...) {
 }  // namespace
 
 FleetController::FleetController()
-    : directory_(std::make_unique<LocalDirectoryShard>()),
-      policy_(std::make_unique<LeastLoadedPolicy>()) {}
+    : policy_(std::make_unique<LeastLoadedPolicy>()) {}
 
 FleetController::~FleetController() = default;
 
@@ -184,9 +183,9 @@ size_t FleetController::AdoptShardFrom(FleetController& failed,
   // re-register the relay load on *our* link-state view (the dead
   // controller's view dies with it).
   size_t adopted = 0;
-  for (MeetingId id : failed.directory_->Ids()) {
-    MeetingRecord* rec = failed.directory_->Find(id);
-    if (rec == nullptr || directory_->Find(id) != nullptr) continue;
+  for (MeetingId id : failed.directory_.Ids()) {
+    MeetingRecord* rec = failed.directory_.Find(id);
+    if (rec == nullptr || directory_.Find(id) != nullptr) continue;
     MeetingRecord moved = std::move(*rec);
     moved.placement.home = remapped(moved.placement.home);
     for (RelaySpan& span : moved.placement.spans) {
@@ -220,10 +219,10 @@ size_t FleetController::AdoptShardFrom(FleetController& failed,
       }
       moved.protection_meetings = std::move(pms);
     }
-    directory_->Emplace(id, std::move(moved));
+    directory_.Emplace(id, std::move(moved));
     ++adopted;
   }
-  for (MeetingId id : failed.directory_->Ids()) failed.directory_->Erase(id);
+  failed.directory_ = MeetingDirectory();
   failed.switches_.clear();
   if (old_to_new != nullptr) *old_to_new = std::move(remap);
   // Each adopted meeting was re-homed to a new controller — the same
@@ -302,7 +301,7 @@ void FleetController::ReplanOverloadedLinks() {
                      std::pair<size_t, size_t> link) {
     return path_crosses(CurrentRelayPath(st, r), link);
   };
-  for (size_t guard = directory_->size() * switches_.size() + 1; guard > 0;
+  for (size_t guard = directory_.size() * switches_.size() + 1; guard > 0;
        --guard) {
     const auto overloaded = topology_.OverloadedLinks();
     if (overloaded.empty()) return;
@@ -313,8 +312,8 @@ void FleetController::ReplanOverloadedLinks() {
     // re-evaluate the overload set before touching more state.
     if (redundancy_.redundant_trees) {
       bool changed = false;
-      for (MeetingId meeting : directory_->Ids()) {
-        MeetingState& st = *directory_->Find(meeting);
+      for (MeetingId meeting : directory_.Ids()) {
+        MeetingState& st = *directory_.Find(meeting);
         for (MeetingRelay& r : st.relays) {
           for (const auto& link : overloaded) {
             if (!crosses(st, r, link)) continue;
@@ -352,8 +351,8 @@ void FleetController::ReplanOverloadedLinks() {
       if (changed) continue;
     }
     bool collapsed = false;
-    for (MeetingId meeting : directory_->Ids()) {
-      MeetingState& st = *directory_->Find(meeting);
+    for (MeetingId meeting : directory_.Ids()) {
+      MeetingState& st = *directory_.Find(meeting);
       size_t child = SIZE_MAX;
       for (const MeetingRelay& r : st.relays) {
         for (const auto& link : overloaded) {
@@ -465,13 +464,13 @@ void FleetController::EnableRebalancer(const RebalanceConfig& cfg) {
 
 void FleetController::FreezeMeetings(const std::vector<MeetingId>& meetings) {
   for (MeetingId meeting : meetings) {
-    MeetingRecord* rec = directory_->Find(meeting);
+    MeetingRecord* rec = directory_.Find(meeting);
     if (rec != nullptr) rec->frozen = true;
   }
 }
 
 bool FleetController::IsFrozen(MeetingId meeting) const {
-  const MeetingRecord* rec = directory_->Find(meeting);
+  const MeetingRecord* rec = directory_.Find(meeting);
   return rec != nullptr && rec->frozen;
 }
 
@@ -514,8 +513,8 @@ void FleetController::Rebalance() {
   const util::TimeUs now = sched_->now();
   MeetingId pick = 0;
   int pick_size = std::numeric_limits<int>::max();
-  for (MeetingId meeting : directory_->Ids()) {
-    const MeetingState& st = *directory_->Find(meeting);
+  for (MeetingId meeting : directory_.Ids()) {
+    const MeetingState& st = *directory_.Find(meeting);
     if (st.placement.home != busiest) continue;
     if (st.placement.spans_switches()) continue;
     if (st.frozen) continue;
@@ -597,7 +596,7 @@ MeetingId FleetController::CreateMeeting() {
   MeetingState st;
   st.placement.home = idx;
   st.placement.local_meeting = local;
-  directory_->Emplace(global, std::move(st));
+  directory_.Emplace(global, std::move(st));
   ++switches_[idx]->meetings;
   ++stats_.meetings_placed;
   if (trace_ != nullptr) {
@@ -782,7 +781,7 @@ FleetController::JoinResult FleetController::Join(
   if (dead_) {
     throw std::runtime_error("FleetController: controller is down");
   }
-  MeetingState* found = directory_->Find(meeting);
+  MeetingState* found = directory_.Find(meeting);
   if (found == nullptr) {
     throw std::out_of_range("FleetController: unknown meeting");
   }
@@ -794,8 +793,9 @@ FleetController::JoinResult FleetController::Join(
   // out of local capacity. Under a federation that overflow is worth a
   // cross-region border span: ask the plane for a guest switch to span
   // onto (the guest was registered via AddBorderSwitch and rides the
-  // ordinary RelaySpan mechanics below). Standalone fleets have no
-  // provider and behave exactly as before.
+  // ordinary RelaySpan mechanics below). A lone region has no peer to
+  // lend one, so its provider always declines; controllers outside a
+  // federation have no provider.
   if (target == st.placement.home && border_provider_ != nullptr) {
     const int budget = policy_->SpanBudget();
     if (budget > 0 &&
@@ -909,7 +909,7 @@ void FleetController::EraseParticipantFromPlacement(MeetingState& st,
 
 void FleetController::Leave(MeetingId meeting, ParticipantId participant) {
   if (dead_) return;  // the crashed controller can no longer sign anyone out
-  MeetingState* found = directory_->Find(meeting);
+  MeetingState* found = directory_.Find(meeting);
   if (found == nullptr) return;
   MeetingState& st = *found;
   // Membership guard: a participant who never joined (or already left —
@@ -1352,7 +1352,7 @@ void FleetController::HitlessMigrate(MeetingState& st, MeetingId meeting,
 }
 
 void FleetController::EndMeeting(MeetingId meeting) {
-  MeetingState* found = directory_->Find(meeting);
+  MeetingState* found = directory_.Find(meeting);
   if (found == nullptr) return;
   MeetingState& st = *found;
 
@@ -1378,11 +1378,11 @@ void FleetController::EndMeeting(MeetingId meeting) {
   sw.participants -= static_cast<int>(st.members.size());
   --sw.meetings;
   sw.controller->EndMeeting(st.placement.local_meeting);
-  directory_->Erase(meeting);
+  directory_.Erase(meeting);
 }
 
 void FleetController::MigrateMeeting(MeetingId meeting, size_t target_switch) {
-  MeetingState* found = directory_->Find(meeting);
+  MeetingState* found = directory_.Find(meeting);
   if (found == nullptr) return;
   MeetingState& st = *found;
   if (st.placement.home == target_switch && !st.placement.spans_switches()) {
@@ -1446,8 +1446,8 @@ void FleetController::OnSwitchDown(size_t switch_index) {
   if (!m.alive) return;  // already declared dead: migrate exactly once
   m.alive = false;
   std::vector<MeetingId> homed, spanned;
-  for (MeetingId meeting : directory_->Ids()) {
-    const MeetingState& st = *directory_->Find(meeting);
+  for (MeetingId meeting : directory_.Ids()) {
+    const MeetingState& st = *directory_.Find(meeting);
     if (st.placement.home == switch_index) {
       homed.push_back(meeting);
     } else if (st.placement.SpanOn(switch_index) != nullptr) {
@@ -1471,7 +1471,7 @@ void FleetController::OnSwitchDown(size_t switch_index) {
     // Only a span died: the home (hub) survives, so collapse the span and
     // let its members re-join — the policy re-plans them onto live
     // switches.
-    MeetingState& st = *directory_->Find(meeting);
+    MeetingState& st = *directory_.Find(meeting);
     if (trace_ != nullptr) {
       Trace(obs::Category::kFleet, "span.collapsed", 0,
             TraceDetail("meeting=%u switch=%zu",
@@ -1489,8 +1489,8 @@ void FleetController::OnSwitchDown(size_t switch_index) {
   // that avoids it — the chain was already delivering duplicate copies,
   // so receivers never see a gap. Standby chains the dead switch was
   // part of are gone; drop their surviving wiring quietly.
-  for (MeetingId meeting : directory_->Ids()) {
-    MeetingState& st = *directory_->Find(meeting);
+  for (MeetingId meeting : directory_.Ids()) {
+    MeetingState& st = *directory_.Find(meeting);
     for (MeetingRelay& r : st.relays) {
       if (r.upstream == switch_index || r.downstream == switch_index) {
         continue;  // the classic span handling owned this relay's fate
@@ -1539,26 +1539,26 @@ bool FleetController::IsAlive(size_t switch_index) const {
 }
 
 MeetingPlacement FleetController::PlacementOf(MeetingId meeting) const {
-  const MeetingRecord* rec = directory_->Find(meeting);
+  const MeetingRecord* rec = directory_.Find(meeting);
   return rec == nullptr ? MeetingPlacement{} : rec->placement;
 }
 
 std::pair<size_t, MeetingId> FleetController::PlacementDetail(
     MeetingId meeting) const {
-  const MeetingRecord* rec = directory_->Find(meeting);
+  const MeetingRecord* rec = directory_.Find(meeting);
   if (rec == nullptr) return {SIZE_MAX, 0};
   return {rec->placement.home, rec->placement.local_meeting};
 }
 
 std::vector<FleetController::MeetingRelay> FleetController::RelaysOf(
     MeetingId meeting) const {
-  const MeetingRecord* rec = directory_->Find(meeting);
+  const MeetingRecord* rec = directory_.Find(meeting);
   return rec == nullptr ? std::vector<MeetingRelay>{} : rec->relays;
 }
 
 std::vector<SecondaryTree> FleetController::SecondariesOf(
     MeetingId meeting) const {
-  const MeetingRecord* rec = directory_->Find(meeting);
+  const MeetingRecord* rec = directory_.Find(meeting);
   return rec == nullptr ? std::vector<SecondaryTree>{} : rec->secondaries;
 }
 
@@ -1576,7 +1576,7 @@ net::Ipv4 FleetController::SfuIpOf(size_t switch_index) const {
 
 bool FleetController::IsMember(MeetingId meeting,
                                ParticipantId participant) const {
-  const MeetingRecord* rec = directory_->Find(meeting);
+  const MeetingRecord* rec = directory_.Find(meeting);
   return rec != nullptr && rec->members.count(participant) > 0;
 }
 

@@ -135,9 +135,9 @@ class FleetController : public SignalingServer,
   // controller's local index -> adopter local index map.
   size_t AdoptShardFrom(FleetController& failed,
                         std::vector<size_t>* old_to_new = nullptr);
-  // The sharded meeting store (owner's view; see MeetingDirectory).
-  MeetingDirectory& directory() { return *directory_; }
-  const MeetingDirectory& directory() const { return *directory_; }
+  // This controller's shard of the meeting store.
+  MeetingDirectory& directory() { return directory_; }
+  const MeetingDirectory& directory() const { return directory_; }
 
   // Swaps the placement policy (default: LeastLoadedPolicy, the classic
   // single-homed behaviour). Takes effect for future placements. The
@@ -422,7 +422,7 @@ class FleetController : public SignalingServer,
   std::vector<std::unique_ptr<Member>> switches_;
   // This controller's shard of the meeting store (placement, membership,
   // relay wiring, rebalance hysteresis per record).
-  std::unique_ptr<MeetingDirectory> directory_;
+  MeetingDirectory directory_;
   MeetingId next_meeting_ = 1;
   // Meeting ids advance by this much per CreateMeeting: 1 standalone, R
   // under an R-region federation (region r mints r+1, r+1+R, ...).

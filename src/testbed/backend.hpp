@@ -2,8 +2,11 @@
 // A): one stable interface between experiment logic (ScenarioRunner, the
 // benches) and the forwarding substrate that executes it. Three substrates
 // implement it today — the single-switch Scallop stack, a multi-switch
-// fleet under one FleetController, and the software-SFU baseline — and new
-// ones (cascades, remote testbeds) drop in without touching experiments.
+// fleet under a federated control plane, and the software-SFU baseline —
+// and new ones (cascades, remote testbeds) drop in without touching
+// experiments. Backend itself owns what every substrate shares: the
+// config, the scheduler, the network, the attached peers and the meeting
+// list.
 #pragma once
 
 #include <functional>
@@ -12,14 +15,75 @@
 #include <vector>
 
 #include "client/peer.hpp"
+#include "core/control_channel.hpp"
 #include "core/controller.hpp"
+#include "core/dataplane.hpp"
+#include "core/fleet.hpp"
 #include "core/placement.hpp"
+#include "core/switch_agent.hpp"
+#include "sfu/software_sfu.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
+#include "switchsim/switch.hpp"
 
 namespace scallop::testbed {
 
-struct TestbedConfig;
+struct TestbedConfig {
+  uint64_t seed = 1;
+  net::Ipv4 sfu_ip{100, 64, 0, 1};
+  // Default client access links: 20/20 Mb/s, 5 ms one way, light jitter —
+  // a realistic campus access path, which is what the adaptation and loss
+  // experiments exercise. The paper's physical testbed wires clients to
+  // the switch over direct 1 Gb/s links; latency-measurement benches
+  // (e.g. bench_fig19) override these with that shape so the SFU stage
+  // dominates, exactly as in the paper.
+  sim::LinkConfig client_uplink{.rate_bps = 20e6,
+                                .prop_delay = util::Millis(5),
+                                .jitter_stddev = 200};
+  sim::LinkConfig client_downlink{.rate_bps = 20e6,
+                                  .prop_delay = util::Millis(5),
+                                  .jitter_stddev = 200};
+  // SFU datacenter links.
+  sim::LinkConfig sfu_uplink{.rate_bps = 0, .prop_delay = util::Millis(1)};
+  sim::LinkConfig sfu_downlink{.rate_bps = 0, .prop_delay = util::Millis(1)};
+  core::DataPlaneConfig dataplane;
+  core::AgentConfig agent;          // sfu_ip is overwritten
+  sfu::SoftwareSfuConfig software;  // address is overwritten
+  client::PeerConfig peer;          // address/seed overwritten per peer
+  // Southbound control channel between controller(s) and switch agent(s);
+  // the seed is overwritten (derived from `seed` and the switch index).
+  // Defaults are zero latency / zero loss: inline dispatch, byte-identical
+  // to the old direct-call wiring.
+  core::ControlChannelConfig control;
+  // Fleet-only: the load-driven background rebalancer (off by default).
+  core::RebalanceConfig rebalance;
+  // Fleet-only: the meeting-placement policy (default LeastLoaded keeps
+  // the classic single-homed behaviour; Cascade splits large meetings
+  // across switches with relay spans; TopologyAware plans relay trees
+  // over the modeled backbone).
+  core::PlacementPolicyConfig placement;
+  // Fleet-only: the modeled inter-switch backbone. Empty (the default)
+  // keeps the implicit full mesh — zero latency, unlimited capacity,
+  // byte-identical to the pre-topology fleets. Declared links become both
+  // the FleetController's link-state view and dedicated sim::Network
+  // links that relay traffic physically crosses (multi-hop when spans
+  // connect non-adjacent switches).
+  std::vector<core::InterSwitchLinkSpec> inter_switch_links;
+  // Fleet-only: per-switch capacity classes, indexed by global switch;
+  // missing entries default to 1.0 (homogeneous). A class-2 switch
+  // carries twice the load of a class-1 switch before the placement
+  // policies and the rebalancer consider it equally busy.
+  std::vector<double> switch_capacity_classes;
+  // Fleet-only: redundant dual relay trees and/or make-before-break
+  // (hitless) migration. Defaults keep everything off — byte-identical
+  // to the classic break-before-make fleet.
+  core::RedundancyConfig redundancy;
+  // Structured event tracing (obs::TraceLog): when set, every southbound
+  // channel, fleet controller, and east-west conduit the testbed builds
+  // emits into it. Null (the default) keeps every traced path on its
+  // byte-identical untraced branch. Not owned.
+  obs::TraceLog* trace = nullptr;
+};
 
 // Which substrate a ScenarioSpec runs on. Value-type so specs stay
 // copyable declarative data.
@@ -180,16 +244,22 @@ struct SwitchStatus {
 
 class Backend {
  public:
+  explicit Backend(const TestbedConfig& cfg);
   virtual ~Backend() = default;
+  Backend(const Backend&) = delete;
+  Backend& operator=(const Backend&) = delete;
 
   virtual std::string Name() const = 0;
 
-  // Peer attachment with explicit link shapes. Host addressing and
-  // per-peer seeding depend only on attachment order, never on the
-  // substrate, so a spec produces the same client population everywhere.
-  virtual client::Peer& AddPeer(const client::PeerConfig& base,
-                                const sim::LinkConfig& up,
-                                const sim::LinkConfig& down) = 0;
+  // Peer attachment, with the config's default peer and link shapes or
+  // explicit ones. Host addressing (10.0.x.y) and per-peer seeding depend
+  // only on attachment order, never on the substrate, so a spec produces
+  // the same client population everywhere.
+  client::Peer& AddPeer();
+  client::Peer& AddPeer(const sim::LinkConfig& up, const sim::LinkConfig& down);
+  client::Peer& AddPeer(const client::PeerConfig& base,
+                        const sim::LinkConfig& up,
+                        const sim::LinkConfig& down);
 
   virtual core::MeetingId CreateMeeting() = 0;
   // Follow-the-sun: mint the meeting in a specific fleet region (< 0: no
@@ -207,12 +277,14 @@ class Backend {
     return signaling();
   }
 
-  // Advances to absolute simulation time `t_s` (no-op if already past).
-  virtual void RunUntil(double t_s) = 0;
+  void RunFor(double seconds);
+  // Advances to absolute simulation time `t_s` (no-op if already past);
+  // the natural stepper for schedule-driven harnesses.
+  void RunUntil(double t_s);
 
-  virtual sim::Scheduler& sched() = 0;
-  virtual sim::Network& network() = 0;
-  virtual std::vector<std::unique_ptr<client::Peer>>& peers() = 0;
+  sim::Scheduler& sched() { return sched_; }
+  sim::Network& network() { return network_; }
+  std::vector<std::unique_ptr<client::Peer>>& peers() { return peers_; }
 
   // ---- failover protocol -------------------------------------------------
   // FailoverBegin kills a forwarding substrate instance and returns the
@@ -285,26 +357,39 @@ class Backend {
   virtual std::vector<SwitchStatus> SwitchBreakdown() const { return {}; }
 
  protected:
+  // One Scallop switch: data plane, agent and southbound channel, attached
+  // to the network at `ip` on the config's datacenter links.
+  struct SwitchNode {
+    net::Ipv4 ip;
+    std::unique_ptr<switchsim::Switch> sw;
+    std::unique_ptr<core::DataPlaneProgram> dp;
+    std::unique_ptr<core::SwitchAgent> agent;
+    std::unique_ptr<core::ControlChannel> channel;
+  };
+  // Builds switch `index` of the substrate: the single-switch testbed is
+  // index 0, fleet switch i is index i. The index seeds the channel and
+  // names its trace track.
+  SwitchNode MakeSwitchNode(size_t index, net::Ipv4 ip);
+
   // Shared scallop-stack counter aggregation: single-switch and fleet
-  // backends fold each (switch, data plane, agent) node through the same
-  // mapping so their BackendCounters can never drift apart.
-  static void AccumulateSwitchNode(BackendCounters& c,
-                                   const switchsim::Switch& sw,
-                                   const core::DataPlaneProgram& dp,
-                                   const core::SwitchAgent& agent);
+  // backends fold each node through the same mapping so their
+  // BackendCounters can never drift apart.
+  static void AccumulateSwitchNode(BackendCounters& c, const SwitchNode& node);
 
   // Shared control-channel counter aggregation: single-switch and fleet
   // backends fold each channel through the same mapping.
   static void AccumulateChannel(ControlPlaneCounters& c,
                                 const core::ControlChannelStats& s);
 
-  // Shared peer attachment: 10.0.x.y host addressing and seed derivation
-  // in attachment order — the invariant all backends must preserve.
-  static client::Peer& AttachPeer(
-      sim::Scheduler& sched, sim::Network& network, uint64_t testbed_seed,
-      int& next_host, std::vector<std::unique_ptr<client::Peer>>& peers,
-      const client::PeerConfig& base, const sim::LinkConfig& up,
-      const sim::LinkConfig& down);
+  TestbedConfig cfg_;
+  sim::Scheduler sched_;
+  sim::Network network_;
+  std::vector<std::unique_ptr<client::Peer>> peers_;
+  // Every meeting CreateMeeting minted, in creation order.
+  std::vector<core::MeetingId> meetings_;
+
+ private:
+  int next_host_ = 1;
 };
 
 // Builds the substrate a spec asked for from the shared testbed knobs.

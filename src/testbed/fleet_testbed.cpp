@@ -8,7 +8,7 @@ namespace scallop::testbed {
 
 FleetTestbed::FleetTestbed(const TestbedConfig& cfg, int n_switches,
                            int n_regions)
-    : cfg_(cfg) {
+    : Backend(cfg) {
   if (n_switches < 1 || n_switches > 200) {
     throw std::invalid_argument("FleetTestbed: n_switches out of range");
   }
@@ -16,7 +16,6 @@ FleetTestbed::FleetTestbed(const TestbedConfig& cfg, int n_switches,
     throw std::invalid_argument(
         "FleetTestbed: n_regions must be in [1, n_switches]");
   }
-  network_ = std::make_unique<sim::Network>(sched_, cfg_.seed);
   core::FederationConfig fed_cfg;
   fed_cfg.regions = static_cast<size_t>(n_regions);
   fed_cfg.switches = static_cast<size_t>(n_switches);
@@ -30,30 +29,10 @@ FleetTestbed::FleetTestbed(const TestbedConfig& cfg, int n_switches,
       std::make_unique<core::FederatedControlPlane>(sched_, fed_cfg);
   if (cfg_.trace != nullptr) federation_->set_trace(cfg_.trace);
   nodes_.reserve(static_cast<size_t>(n_switches));
-  for (int i = 0; i < n_switches; ++i) {
-    Node node;
-    node.ip = net::Ipv4(cfg_.sfu_ip.value() + static_cast<uint32_t>(i));
-    switchsim::SwitchConfig sw_cfg;
-    sw_cfg.address = node.ip;
-    node.sw = std::make_unique<switchsim::Switch>(sched_, *network_, sw_cfg);
-    node.dp = std::make_unique<core::DataPlaneProgram>(*node.sw,
-                                                       cfg_.dataplane);
-    core::AgentConfig agent_cfg = cfg_.agent;
-    agent_cfg.sfu_ip = node.ip;
-    node.agent =
-        std::make_unique<core::SwitchAgent>(sched_, *node.dp, agent_cfg);
-    core::ControlChannelConfig ctrl_cfg = cfg_.control;
-    ctrl_cfg.seed =
-        cfg_.seed * 1'000'003 + 17 + static_cast<uint64_t>(i) * 7919;
-    node.channel =
-        std::make_unique<core::ControlChannel>(sched_, *node.agent, ctrl_cfg);
-    if (cfg_.trace != nullptr) {
-      node.channel->EnableTrace(cfg_.trace, static_cast<size_t>(i));
-    }
-    network_->Attach(node.ip, node.sw.get(), cfg_.sfu_uplink,
-                     cfg_.sfu_downlink);
-    federation_->AddSwitch(*node.channel, node.ip);
-    nodes_.push_back(std::move(node));
+  for (size_t i = 0; i < static_cast<size_t>(n_switches); ++i) {
+    nodes_.push_back(MakeSwitchNode(
+        i, net::Ipv4(cfg_.sfu_ip.value() + static_cast<uint32_t>(i))));
+    federation_->AddSwitch(*nodes_.back().channel, nodes_.back().ip);
   }
   for (size_t i = 0;
        i < cfg_.switch_capacity_classes.size() && i < nodes_.size(); ++i) {
@@ -78,7 +57,7 @@ FleetTestbed::FleetTestbed(const TestbedConfig& cfg, int n_switches,
     sim::LinkConfig shape;
     shape.rate_bps = l.capacity_bps > 0.0 ? l.capacity_bps : 0.0;
     shape.prop_delay = util::Seconds(l.latency_s);
-    network_->Connect(nodes_[l.a].ip, nodes_[l.b].ip, shape, shape);
+    network_.Connect(nodes_[l.a].ip, nodes_[l.b].ip, shape, shape);
   }
   if (!cfg_.inter_switch_links.empty()) {
     for (size_t i = 0; i < nodes_.size(); ++i) {
@@ -89,7 +68,7 @@ FleetTestbed::FleetTestbed(const TestbedConfig& cfg, int n_switches,
         std::vector<net::Ipv4> hops;
         hops.reserve(path.size());
         for (size_t sw : path) hops.push_back(nodes_[sw].ip);
-        network_->SetRoute(nodes_[i].ip, nodes_[j].ip, std::move(hops));
+        network_.SetRoute(nodes_[i].ip, nodes_[j].ip, std::move(hops));
       }
     }
   }
@@ -100,7 +79,7 @@ FleetTestbed::FleetTestbed(const TestbedConfig& cfg, int n_switches,
   if (cfg_.rebalance.enabled) federation_->EnableRebalancer(cfg_.rebalance);
   // East-west heartbeats + peer failure detectors start last so region
   // construction order never interleaves with scheduled control traffic
-  // (no-op when n_regions == 1).
+  // (a lone region has no peers and arms none).
   federation_->Activate();
 }
 
@@ -111,7 +90,7 @@ void FleetTestbed::SetInterSwitchLinkCapacity(size_t a, size_t b,
   // decisions and the data path agree on the new capacity.
   const double rate = capacity_bps > 0.0 ? capacity_bps : 0.0;
   for (auto [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
-    sim::Link* link = network_->pair_link(nodes_[from].ip, nodes_[to].ip);
+    sim::Link* link = network_.pair_link(nodes_[from].ip, nodes_[to].ip);
     if (link != nullptr) link->set_rate_bps(rate);
   }
   federation_->SetInterSwitchLinkCapacity(a, b, capacity_bps);
@@ -122,30 +101,24 @@ TopologySnapshot FleetTestbed::topology_snapshot() const {
   const core::InterSwitchTopology& topo = federation_->topology();
   snap.configured = topo.explicit_topology();
   if (!snap.configured) return snap;
-  const bool federated = federation_->regions() > 1;
   for (const auto& link : topo.links()) {
     TopologyLinkStatus s;
     s.a = link.a;
     s.b = link.b;
     s.latency_s = link.latency_s;
     s.capacity_bps = link.capacity_bps;
-    if (federated) {
-      // The global view has no registered load of its own — each region's
-      // controller tracks the relay load it placed; sum the slices.
-      s.load_bps = federation_->LinkLoad(link.a, link.b);
-      s.utilization = link.capacity_bps > 0.0 &&
-                              link.capacity_bps <
-                                  core::InterSwitchTopology::kUnconstrained
-                          ? s.load_bps / link.capacity_bps
-                          : 0.0;
-    } else {
-      s.load_bps = link.relay_load_bps;
-      s.utilization = topo.UtilizationOf(link.a, link.b);
-    }
+    // The global view has no registered load of its own — each region's
+    // controller tracks the relay load it placed; sum the slices.
+    s.load_bps = federation_->LinkLoad(link.a, link.b);
+    s.utilization = link.capacity_bps > 0.0 &&
+                            link.capacity_bps <
+                                core::InterSwitchTopology::kUnconstrained
+                        ? s.load_bps / link.capacity_bps
+                        : 0.0;
     for (auto [from, to] :
          {std::pair{link.a, link.b}, std::pair{link.b, link.a}}) {
       const sim::Link* pl =
-          network_->pair_link(nodes_[from].ip, nodes_[to].ip);
+          network_.pair_link(nodes_[from].ip, nodes_[to].ip);
       if (pl == nullptr) continue;
       s.relay_packets += pl->stats().delivered_packets;
       s.relay_bytes += pl->stats().delivered_bytes;
@@ -153,7 +126,6 @@ TopologySnapshot FleetTestbed::topology_snapshot() const {
     snap.max_utilization = std::max(snap.max_utilization, s.utilization);
     snap.links.push_back(s);
   }
-  if (!federated) snap.max_utilization = topo.MaxUtilization();
   snap.relay_replans = federation_->TotalFleetStats().relay_replans;
   for (core::MeetingId m : meetings_) {
     core::MeetingPlacement placement = federation_->PlacementOf(m);
@@ -174,42 +146,15 @@ std::string FleetTestbed::Name() const {
       .Label();
 }
 
-client::Peer& FleetTestbed::AddPeer() {
-  return AddPeer(cfg_.client_uplink, cfg_.client_downlink);
-}
-
-client::Peer& FleetTestbed::AddPeer(const sim::LinkConfig& up,
-                                    const sim::LinkConfig& down) {
-  return AddPeer(cfg_.peer, up, down);
-}
-
-client::Peer& FleetTestbed::AddPeer(const client::PeerConfig& base,
-                                    const sim::LinkConfig& up,
-                                    const sim::LinkConfig& down) {
-  return AttachPeer(sched_, *network_, cfg_.seed, next_host_, peers_, base,
-                    up, down);
-}
-
 core::MeetingId FleetTestbed::CreateMeeting() {
-  core::MeetingId id = federation_->CreateMeeting();
-  meetings_.push_back(id);
-  return id;
+  return CreateMeetingInRegion(-1);
 }
 
 core::MeetingId FleetTestbed::CreateMeetingInRegion(int region) {
-  if (region < 0) return CreateMeeting();
-  core::MeetingId id =
-      federation_->CreateMeetingIn(static_cast<size_t>(region));
+  core::MeetingId id = federation_->CreateMeetingIn(
+      region < 0 ? SIZE_MAX : static_cast<size_t>(region));
   meetings_.push_back(id);
   return id;
-}
-
-void FleetTestbed::RunFor(double seconds) {
-  sched_.RunUntil(sched_.now() + util::Seconds(seconds));
-}
-
-void FleetTestbed::RunUntil(double t_s) {
-  sched_.RunUntil(util::Seconds(t_s));
 }
 
 std::vector<core::MeetingId> FleetTestbed::FailoverBegin() {
@@ -270,7 +215,7 @@ RedundancyCounters FleetTestbed::redundancy_counters() const {
   r.secondary_trees_removed = fs.secondary_trees_removed;
   r.tree_flips = fs.tree_flips;
   r.hitless_migrations = fs.hitless_migrations;
-  for (const Node& node : nodes_) {
+  for (const SwitchNode& node : nodes_) {
     r.relay_sources += node.agent->stats().relay_sources;
     r.relay_promotions += node.agent->stats().relay_promotions;
     r.redundant_relayed += node.dp->stats().redundant_relayed;
@@ -281,9 +226,7 @@ RedundancyCounters FleetTestbed::redundancy_counters() const {
 
 BackendCounters FleetTestbed::counters() const {
   BackendCounters c;
-  for (const Node& node : nodes_) {
-    AccumulateSwitchNode(c, *node.sw, *node.dp, *node.agent);
-  }
+  for (const SwitchNode& node : nodes_) AccumulateSwitchNode(c, node);
   c.placements_rebalanced =
       federation_->TotalFleetStats().placements_rebalanced;
   return c;
@@ -294,7 +237,7 @@ CascadeCounters FleetTestbed::cascade_counters() const {
   const core::FleetStats fs = federation_->TotalFleetStats();
   c.spans_installed = fs.relay_spans_installed;
   c.spans_removed = fs.relay_spans_removed;
-  for (const Node& node : nodes_) {
+  for (const SwitchNode& node : nodes_) {
     c.relay_packets += node.dp->stats().relay_packets;
     c.relay_bytes += node.dp->stats().relay_bytes;
     c.relay_dt_changes += node.agent->stats().relay_dt_changes;
@@ -304,7 +247,7 @@ CascadeCounters FleetTestbed::cascade_counters() const {
 
 ControlPlaneCounters FleetTestbed::control_counters() const {
   ControlPlaneCounters c;
-  for (const Node& node : nodes_) {
+  for (const SwitchNode& node : nodes_) {
     AccumulateChannel(c, node.channel->stats());
   }
   const core::FleetStats fs = federation_->TotalFleetStats();

@@ -1,8 +1,9 @@
-// Multi-switch testbed: N Scallop switches (each with its own data plane,
-// switch agent, southbound ControlChannel and SFU IP on datacenter links)
-// under a FederatedControlPlane of R per-region controllers — the paper's
-// Appendix A deployment shape, sharded. R = 1 (the default) is the classic
-// single-FleetController fleet, byte-for-byte; R > 1 slices the switches
+// Multi-switch testbed: N Scallop switches (each built by
+// Backend::MakeSwitchNode: its own data plane, switch agent, southbound
+// ControlChannel and SFU IP on datacenter links) under a
+// FederatedControlPlane of R per-region controllers — the paper's
+// Appendix A deployment shape, sharded. R = 1 (the default) is one
+// controller running the same federated code; R > 1 slices the switches
 // across regions peered over an east-west message plane (directory
 // lookups, border-span negotiation, controller heartbeats + shard
 // adoption). Failover here means a real standby driven by telemetry loss:
@@ -17,13 +18,9 @@
 #include <memory>
 #include <vector>
 
-#include "core/control_channel.hpp"
-#include "core/dataplane.hpp"
 #include "core/federation.hpp"
 #include "core/fleet.hpp"
-#include "core/switch_agent.hpp"
-#include "switchsim/switch.hpp"
-#include "testbed/testbed.hpp"
+#include "testbed/backend.hpp"
 
 namespace scallop::testbed {
 
@@ -35,22 +32,9 @@ class FleetTestbed : public Backend {
   explicit FleetTestbed(const TestbedConfig& cfg = {}, int n_switches = 2,
                         int n_regions = 1);
 
-  client::Peer& AddPeer();
-  client::Peer& AddPeer(const sim::LinkConfig& up, const sim::LinkConfig& down);
-  client::Peer& AddPeer(const client::PeerConfig& base,
-                        const sim::LinkConfig& up,
-                        const sim::LinkConfig& down) override;
-
   core::MeetingId CreateMeeting() override;
   core::MeetingId CreateMeetingInRegion(int region) override;
-  void RunFor(double seconds);
-  void RunUntil(double t_s) override;
 
-  sim::Scheduler& sched() override { return sched_; }
-  sim::Network& network() override { return *network_; }
-  std::vector<std::unique_ptr<client::Peer>>& peers() override {
-    return peers_;
-  }
   // Region 0's controller — the whole fleet when n_regions == 1.
   core::FleetController& fleet() { return federation_->region(0); }
   core::FederatedControlPlane& federation() { return *federation_; }
@@ -90,22 +74,8 @@ class FleetTestbed : public Backend {
   std::vector<SwitchStatus> SwitchBreakdown() const override;
 
  private:
-  struct Node {
-    net::Ipv4 ip;
-    std::unique_ptr<switchsim::Switch> sw;
-    std::unique_ptr<core::DataPlaneProgram> dp;
-    std::unique_ptr<core::SwitchAgent> agent;
-    std::unique_ptr<core::ControlChannel> channel;
-  };
-
-  TestbedConfig cfg_;
-  sim::Scheduler sched_;
-  std::unique_ptr<sim::Network> network_;
-  std::vector<Node> nodes_;
+  std::vector<SwitchNode> nodes_;
   std::unique_ptr<core::FederatedControlPlane> federation_;
-  std::vector<std::unique_ptr<client::Peer>> peers_;
-  std::vector<core::MeetingId> meetings_;
-  int next_host_ = 1;
   size_t failed_switch_ = SIZE_MAX;
 };
 

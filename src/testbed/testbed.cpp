@@ -4,55 +4,9 @@
 
 namespace scallop::testbed {
 
-client::Peer& Backend::AttachPeer(
-    sim::Scheduler& sched, sim::Network& network, uint64_t testbed_seed,
-    int& next_host, std::vector<std::unique_ptr<client::Peer>>& peers,
-    const client::PeerConfig& base, const sim::LinkConfig& up,
-    const sim::LinkConfig& down) {
-  client::PeerConfig pc = base;
-  pc.address = net::Ipv4(10, 0, static_cast<uint8_t>(next_host >> 8),
-                         static_cast<uint8_t>(next_host & 0xff));
-  pc.seed = testbed_seed * 1000 + static_cast<uint64_t>(next_host);
-  ++next_host;
-  auto peer = std::make_unique<client::Peer>(sched, network, pc);
-  network.Attach(pc.address, peer.get(), up, down);
-  peers.push_back(std::move(peer));
-  return *peers.back();
-}
-
-ScallopTestbed::ScallopTestbed(const TestbedConfig& cfg) : cfg_(cfg) {
-  network_ = std::make_unique<sim::Network>(sched_, cfg_.seed);
-  switchsim::SwitchConfig sw_cfg;
-  sw_cfg.address = cfg_.sfu_ip;
-  switch_ = std::make_unique<switchsim::Switch>(sched_, *network_, sw_cfg);
-  dataplane_ =
-      std::make_unique<core::DataPlaneProgram>(*switch_, cfg_.dataplane);
-  core::AgentConfig agent_cfg = cfg_.agent;
-  agent_cfg.sfu_ip = cfg_.sfu_ip;
-  agent_ = std::make_unique<core::SwitchAgent>(sched_, *dataplane_, agent_cfg);
-  core::ControlChannelConfig ctrl_cfg = cfg_.control;
-  ctrl_cfg.seed = cfg_.seed * 1'000'003 + 17;
-  channel_ = std::make_unique<core::ControlChannel>(sched_, *agent_, ctrl_cfg);
-  if (cfg_.trace != nullptr) channel_->EnableTrace(cfg_.trace, 0);
-  controller_ = std::make_unique<core::Controller>(*channel_, cfg_.sfu_ip);
-  network_->Attach(cfg_.sfu_ip, switch_.get(), cfg_.sfu_uplink,
-                   cfg_.sfu_downlink);
-}
-
-client::Peer& ScallopTestbed::AddPeer() {
-  return AddPeer(cfg_.client_uplink, cfg_.client_downlink);
-}
-
-client::Peer& ScallopTestbed::AddPeer(const sim::LinkConfig& up,
-                                      const sim::LinkConfig& down) {
-  return AddPeer(cfg_.peer, up, down);
-}
-
-client::Peer& ScallopTestbed::AddPeer(const client::PeerConfig& base,
-                                      const sim::LinkConfig& up,
-                                      const sim::LinkConfig& down) {
-  return AttachPeer(sched_, *network_, cfg_.seed, next_host_, peers_, base,
-                    up, down);
+ScallopTestbed::ScallopTestbed(const TestbedConfig& cfg)
+    : Backend(cfg), node_(MakeSwitchNode(0, cfg_.sfu_ip)) {
+  controller_ = std::make_unique<core::Controller>(*node_.channel, cfg_.sfu_ip);
 }
 
 core::MeetingId ScallopTestbed::CreateMeeting() {
@@ -61,68 +15,35 @@ core::MeetingId ScallopTestbed::CreateMeeting() {
   return id;
 }
 
-void ScallopTestbed::RunFor(double seconds) {
-  sched_.RunUntil(sched_.now() + util::Seconds(seconds));
-}
-
-void ScallopTestbed::RunUntil(double t_s) {
-  sched_.RunUntil(util::Seconds(t_s));
-}
-
 BackendCounters ScallopTestbed::counters() const {
   BackendCounters c;
-  AccumulateSwitchNode(c, *switch_, *dataplane_, *agent_);
+  AccumulateSwitchNode(c, node_);
   return c;
 }
 
 ControlPlaneCounters ScallopTestbed::control_counters() const {
   ControlPlaneCounters c;
-  AccumulateChannel(c, channel_->stats());
+  AccumulateChannel(c, node_.channel->stats());
   return c;
 }
 
 std::string ScallopTestbed::TreeDesignOf(core::MeetingId meeting) const {
-  auto design = agent_->tree_manager().CurrentDesign(meeting);
+  auto design = node_.agent->tree_manager().CurrentDesign(meeting);
   return design.has_value() ? core::TreeDesignName(*design) : "none";
 }
 
-SoftwareTestbed::SoftwareTestbed(const TestbedConfig& cfg) : cfg_(cfg) {
-  network_ = std::make_unique<sim::Network>(sched_, cfg_.seed);
+SoftwareTestbed::SoftwareTestbed(const TestbedConfig& cfg) : Backend(cfg) {
   sfu::SoftwareSfuConfig sfu_cfg = cfg_.software;
   sfu_cfg.address = cfg_.sfu_ip;
-  sfu_ = std::make_unique<sfu::SoftwareSfu>(sched_, *network_, sfu_cfg);
-  network_->Attach(cfg_.sfu_ip, sfu_.get(), cfg_.sfu_uplink,
-                   cfg_.sfu_downlink);
-}
-
-client::Peer& SoftwareTestbed::AddPeer() {
-  return AddPeer(cfg_.client_uplink, cfg_.client_downlink);
-}
-
-client::Peer& SoftwareTestbed::AddPeer(const sim::LinkConfig& up,
-                                       const sim::LinkConfig& down) {
-  return AddPeer(cfg_.peer, up, down);
-}
-
-client::Peer& SoftwareTestbed::AddPeer(const client::PeerConfig& base,
-                                       const sim::LinkConfig& up,
-                                       const sim::LinkConfig& down) {
-  return AttachPeer(sched_, *network_, cfg_.seed, next_host_, peers_, base,
-                    up, down);
+  sfu_ = std::make_unique<sfu::SoftwareSfu>(sched_, network_, sfu_cfg);
+  network_.Attach(cfg_.sfu_ip, sfu_.get(), cfg_.sfu_uplink,
+                  cfg_.sfu_downlink);
 }
 
 core::MeetingId SoftwareTestbed::CreateMeeting() {
   core::MeetingId id = sfu_->CreateMeeting();
   meetings_.push_back(id);
   return id;
-}
-
-void SoftwareTestbed::RunFor(double seconds) {
-  sched_.RunUntil(sched_.now() + util::Seconds(seconds));
-}
-
-void SoftwareTestbed::RunUntil(double t_s) {
-  sched_.RunUntil(util::Seconds(t_s));
 }
 
 BackendCounters SoftwareTestbed::counters() const {

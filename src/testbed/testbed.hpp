@@ -1,112 +1,32 @@
-// Experiment scaffolding: assembles the full Scallop stack (switch + data
-// plane + agent + controller) or the software-SFU baseline, attaches Peer
-// clients with per-client link shapes, and runs the event simulation.
-// Both testbeds implement the testbed::Backend interface (backend.hpp) so
-// the ScenarioRunner and benches drive them interchangeably; the
+// The single-switch substrates: the full Scallop stack (one switch, data
+// plane, agent, southbound channel and controller) and the software-SFU
+// baseline. Both implement testbed::Backend (backend.hpp), which owns the
+// shared scaffolding — config, scheduler, network, peers, meeting list —
+// so the ScenarioRunner and benches drive them interchangeably; the
 // multi-switch FleetTestbed lives in fleet_testbed.hpp.
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "client/peer.hpp"
-#include "core/control_channel.hpp"
 #include "core/controller.hpp"
-#include "core/dataplane.hpp"
-#include "core/fleet.hpp"
-#include "core/switch_agent.hpp"
 #include "sfu/software_sfu.hpp"
-#include "sim/network.hpp"
-#include "sim/scheduler.hpp"
-#include "switchsim/switch.hpp"
 #include "testbed/backend.hpp"
 
 namespace scallop::testbed {
-
-struct TestbedConfig {
-  uint64_t seed = 1;
-  net::Ipv4 sfu_ip{100, 64, 0, 1};
-  // Default client access links: 20/20 Mb/s, 5 ms one way, light jitter —
-  // a realistic campus access path, which is what the adaptation and loss
-  // experiments exercise. The paper's physical testbed wires clients to
-  // the switch over direct 1 Gb/s links; latency-measurement benches
-  // (e.g. bench_fig19) override these with that shape so the SFU stage
-  // dominates, exactly as in the paper.
-  sim::LinkConfig client_uplink{.rate_bps = 20e6,
-                                .prop_delay = util::Millis(5),
-                                .jitter_stddev = 200};
-  sim::LinkConfig client_downlink{.rate_bps = 20e6,
-                                  .prop_delay = util::Millis(5),
-                                  .jitter_stddev = 200};
-  // SFU datacenter links.
-  sim::LinkConfig sfu_uplink{.rate_bps = 0, .prop_delay = util::Millis(1)};
-  sim::LinkConfig sfu_downlink{.rate_bps = 0, .prop_delay = util::Millis(1)};
-  core::DataPlaneConfig dataplane;
-  core::AgentConfig agent;          // sfu_ip is overwritten
-  sfu::SoftwareSfuConfig software;  // address is overwritten
-  client::PeerConfig peer;          // address/seed overwritten per peer
-  // Southbound control channel between controller(s) and switch agent(s);
-  // the seed is overwritten (derived from `seed` and the switch index).
-  // Defaults are zero latency / zero loss: inline dispatch, byte-identical
-  // to the old direct-call wiring.
-  core::ControlChannelConfig control;
-  // Fleet-only: the load-driven background rebalancer (off by default).
-  core::RebalanceConfig rebalance;
-  // Fleet-only: the meeting-placement policy (default LeastLoaded keeps
-  // the classic single-homed behaviour; Cascade splits large meetings
-  // across switches with relay spans; TopologyAware plans relay trees
-  // over the modeled backbone).
-  core::PlacementPolicyConfig placement;
-  // Fleet-only: the modeled inter-switch backbone. Empty (the default)
-  // keeps the implicit full mesh — zero latency, unlimited capacity,
-  // byte-identical to the pre-topology fleets. Declared links become both
-  // the FleetController's link-state view and dedicated sim::Network
-  // links that relay traffic physically crosses (multi-hop when spans
-  // connect non-adjacent switches).
-  std::vector<core::InterSwitchLinkSpec> inter_switch_links;
-  // Fleet-only: per-switch capacity classes, indexed by global switch;
-  // missing entries default to 1.0 (homogeneous). A class-2 switch
-  // carries twice the load of a class-1 switch before the placement
-  // policies and the rebalancer consider it equally busy.
-  std::vector<double> switch_capacity_classes;
-  // Fleet-only: redundant dual relay trees and/or make-before-break
-  // (hitless) migration. Defaults keep everything off — byte-identical
-  // to the classic break-before-make fleet.
-  core::RedundancyConfig redundancy;
-  // Structured event tracing (obs::TraceLog): when set, every southbound
-  // channel, fleet controller, and east-west conduit the testbed builds
-  // emits into it. Null (the default) keeps every traced path on its
-  // byte-identical untraced branch. Not owned.
-  obs::TraceLog* trace = nullptr;
-};
 
 class ScallopTestbed : public Backend {
  public:
   explicit ScallopTestbed(const TestbedConfig& cfg = {});
 
-  // Adds a peer with the default (or given) link shapes.
-  client::Peer& AddPeer();
-  client::Peer& AddPeer(const sim::LinkConfig& up, const sim::LinkConfig& down);
-  client::Peer& AddPeer(const client::PeerConfig& base,
-                        const sim::LinkConfig& up,
-                        const sim::LinkConfig& down) override;
-
   core::MeetingId CreateMeeting() override;
-  void RunFor(double seconds);
-  // Advances to absolute simulation time `t_s` (no-op if already past);
-  // the natural stepper for schedule-driven harnesses.
-  void RunUntil(double t_s) override;
 
-  sim::Scheduler& sched() override { return sched_; }
-  sim::Network& network() override { return *network_; }
-  switchsim::Switch& sw() { return *switch_; }
-  core::DataPlaneProgram& dataplane() { return *dataplane_; }
-  core::SwitchAgent& agent() { return *agent_; }
-  core::ControlChannel& channel() { return *channel_; }
+  switchsim::Switch& sw() { return *node_.sw; }
+  core::DataPlaneProgram& dataplane() { return *node_.dp; }
+  core::SwitchAgent& agent() { return *node_.agent; }
+  core::ControlChannel& channel() { return *node_.channel; }
   core::Controller& controller() { return *controller_; }
-  std::vector<std::unique_ptr<client::Peer>>& peers() override {
-    return peers_;
-  }
 
   // testbed::Backend
   std::string Name() const override { return "scallop"; }
@@ -120,39 +40,17 @@ class ScallopTestbed : public Backend {
   std::string TreeDesignOf(core::MeetingId meeting) const override;
 
  private:
-  TestbedConfig cfg_;
-  sim::Scheduler sched_;
-  std::unique_ptr<sim::Network> network_;
-  std::unique_ptr<switchsim::Switch> switch_;
-  std::unique_ptr<core::DataPlaneProgram> dataplane_;
-  std::unique_ptr<core::SwitchAgent> agent_;
-  std::unique_ptr<core::ControlChannel> channel_;
+  SwitchNode node_;
   std::unique_ptr<core::Controller> controller_;
-  std::vector<std::unique_ptr<client::Peer>> peers_;
-  std::vector<core::MeetingId> meetings_;
-  int next_host_ = 1;
 };
 
 class SoftwareTestbed : public Backend {
  public:
   explicit SoftwareTestbed(const TestbedConfig& cfg = {});
 
-  client::Peer& AddPeer();
-  client::Peer& AddPeer(const sim::LinkConfig& up, const sim::LinkConfig& down);
-  client::Peer& AddPeer(const client::PeerConfig& base,
-                        const sim::LinkConfig& up,
-                        const sim::LinkConfig& down) override;
-
   core::MeetingId CreateMeeting() override;
-  void RunFor(double seconds);
-  void RunUntil(double t_s) override;
 
-  sim::Scheduler& sched() override { return sched_; }
-  sim::Network& network() override { return *network_; }
   sfu::SoftwareSfu& sfu() { return *sfu_; }
-  std::vector<std::unique_ptr<client::Peer>>& peers() override {
-    return peers_;
-  }
 
   // testbed::Backend
   std::string Name() const override { return "software"; }
@@ -162,13 +60,7 @@ class SoftwareTestbed : public Backend {
   BackendCounters counters() const override;
 
  private:
-  TestbedConfig cfg_;
-  sim::Scheduler sched_;
-  std::unique_ptr<sim::Network> network_;
   std::unique_ptr<sfu::SoftwareSfu> sfu_;
-  std::vector<std::unique_ptr<client::Peer>> peers_;
-  std::vector<core::MeetingId> meetings_;
-  int next_host_ = 1;
 };
 
 }  // namespace scallop::testbed

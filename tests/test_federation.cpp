@@ -1,8 +1,8 @@
 // Federated control plane (fleet{N,R}): per-region controllers over a
 // sharded meeting directory, peered east-west for directory lookups,
 // cross-region border spans and controller-death shard adoption. The
-// plane with R = 1 must be byte-identical to the classic single-
-// FleetController fleet; everything federated is exercised at R > 1.
+// plane with R = 1 must answer exactly as its one FleetController does;
+// everything federated is exercised at R > 1.
 #include <gtest/gtest.h>
 
 #include <set>
