@@ -516,5 +516,165 @@ TEST(NetworkTest, ConnectReshapesPairLinkWithPacketsInFlight) {
   EXPECT_TRUE(a.received.empty());
 }
 
+// Replacing a route does not re-route packets already riding the old one:
+// each finishes the path it started on.
+TEST(NetworkTest, SetRouteKeepsPacketsOnTheirPath) {
+  Scheduler s;
+  Network net(s, 99);
+  Sink a, b, c;
+  const Ipv4 ia(10, 0, 0, 1), ib(10, 0, 0, 3), ic(10, 0, 0, 2);
+  net.Attach(ia, &a, {}, {});
+  net.Attach(ib, &b, {}, {});
+  net.Attach(ic, &c, {}, {});
+  LinkConfig hop{.rate_bps = 0, .prop_delay = util::Millis(10)};
+  net.Connect(ia, ib, hop, hop);
+  net.Connect(ib, ic, hop, hop);
+  net.Connect(ia, ic, LinkConfig{.rate_bps = 0, .prop_delay = util::Millis(3)},
+              hop);
+  net.SetRoute(ia, ic, {ia, ib, ic});
+  for (int i = 0; i < 6; ++i) {
+    s.At(util::Millis(i), [&] { net.Send(MakeTestPacket(100)); });
+  }
+  // At 3 ms (after that instant's send) the route goes direct, while four
+  // packets are still on the a->b hop; the route is replaced again before
+  // any of them reaches b.
+  s.At(util::Millis(3), [&] { net.SetRoute(ia, ic, {ia, ic}); });
+  s.At(util::Millis(6), [&] { net.SetRoute(ia, ic, {ia, ic}); });
+  s.At(util::Millis(7), [&] { net.Send(MakeTestPacket(100)); });
+  s.RunAll();
+  ASSERT_EQ(c.received.size(), 7u);
+  std::vector<util::TimeUs> arrivals;
+  for (const auto& p : c.received) arrivals.push_back(p->arrival);
+  EXPECT_EQ(arrivals, (std::vector<util::TimeUs>{
+                          util::Millis(7), util::Millis(8), util::Millis(10),
+                          util::Millis(20), util::Millis(21), util::Millis(22),
+                          util::Millis(23)}));
+  EXPECT_EQ(net.pair_link(ia, ib)->stats().delivered_packets, 4u);
+  EXPECT_EQ(net.pair_link(ib, ic)->stats().delivered_packets, 4u);
+  EXPECT_EQ(net.pair_link(ia, ic)->stats().delivered_packets, 3u);
+  EXPECT_TRUE(a.received.empty());
+  EXPECT_TRUE(b.received.empty());
+  EXPECT_EQ(net.blackholed(), 0u);
+}
+
+// Randomized bursts from two hosts with pure-delay uplinks (an SFU's
+// datacenter link) into one jittered, lossy, rate-limited downlink with a
+// small queue arrive exactly as they do through an explicit uplink ->
+// downlink chain of Links built with the network's seeds: the same
+// packets, in the same order, at the same times, with the same drops.
+TEST(NetworkTest, PureDelayUplinkMatchesExplicitTwoLinkChain) {
+  const LinkConfig sfu_up{.rate_bps = 0, .prop_delay = util::Millis(1)};
+  const LinkConfig shaped{.rate_bps = 4e6,
+                          .prop_delay = util::Millis(5),
+                          .jitter_stddev = 300,
+                          .loss_rate = 0.02,
+                          .reorder_rate = 0.05,
+                          .reorder_delay = util::Millis(2),
+                          .queue_bytes = 12 * 1024};
+  constexpr uint64_t kSeed = 77;
+  constexpr util::DurationUs kPipeline = 2;
+  const Ipv4 src_a(10, 0, 0, 1), src_b(10, 0, 0, 3), dst(10, 0, 0, 2);
+
+  struct Burst {
+    util::TimeUs at;
+    bool from_b;
+    size_t packets;
+    size_t size;
+  };
+  std::vector<Burst> plan;
+  util::Rng rng(5);
+  for (util::TimeUs t = 0; t < util::Millis(2000);
+       t += 100 * rng.UniformInt(1, 60)) {
+    plan.push_back(Burst{t, rng.Bernoulli(0.5),
+                         static_cast<size_t>(rng.UniformInt(1, 12)),
+                         static_cast<size_t>(rng.UniformInt(60, 1200))});
+  }
+  struct Arrival {
+    util::TimeUs when;
+    uint32_t id;
+    bool operator==(const Arrival&) const = default;
+  };
+  auto make = [&](const Burst& b, uint32_t id) {
+    auto pkt = net::MakePacket(Endpoint{b.from_b ? src_b : src_a, 1000},
+                               Endpoint{dst, 2000},
+                               std::vector<uint8_t>(b.size, 0));
+    pkt->ingress_port = id;  // tags the packet
+    return pkt;
+  };
+
+  // Through the network: hosts attached in order a, b, dst, so the link
+  // seeds are kSeed + 1..6 and dst's downlink draws from kSeed + 6.
+  std::vector<Arrival> via_network;
+  LinkStats network_down;
+  uint64_t network_up_delivered = 0;
+  {
+    Scheduler s;
+    Network net(s, kSeed);
+    Sink a, b;
+    struct Recorder : Host {
+      std::vector<Arrival>* out;
+      void OnPacket(net::PacketPtr p) override {
+        out->push_back(Arrival{p->arrival, p->ingress_port});
+      }
+    } sink;
+    sink.out = &via_network;
+    net.Attach(src_a, &a, sfu_up, sfu_up);
+    net.Attach(src_b, &b, sfu_up, sfu_up);
+    net.Attach(dst, &sink, shaped, shaped);
+    uint32_t id = 0;
+    for (const Burst& burst : plan) {
+      s.At(burst.at, [&, burst, first = id] {
+        for (size_t i = 0; i < burst.packets; ++i) {
+          net.Send(make(burst, first + static_cast<uint32_t>(i)),
+                   s.now() + kPipeline);
+        }
+      });
+      id += static_cast<uint32_t>(burst.packets);
+    }
+    s.RunAll();
+    network_down = net.downlink(dst)->stats();
+    network_up_delivered = net.uplink(src_a)->stats().delivered_packets +
+                           net.uplink(src_b)->stats().delivered_packets;
+  }
+
+  // Through an explicit chain of Links with the same configs and seeds.
+  std::vector<Arrival> via_chain;
+  LinkStats chain_down;
+  {
+    Scheduler s;
+    Link up_a(s, sfu_up, kSeed + 1);
+    Link up_b(s, sfu_up, kSeed + 3);
+    Link down(s, shaped, kSeed + 6);
+    uint32_t id = 0;
+    for (const Burst& burst : plan) {
+      s.At(burst.at, [&, burst, first = id] {
+        for (size_t i = 0; i < burst.packets; ++i) {
+          (burst.from_b ? up_b : up_a)
+              .Send(make(burst, first + static_cast<uint32_t>(i)),
+                    [&](net::PacketPtr p) {
+                      down.Send(std::move(p), [&](net::PacketPtr q) {
+                        via_chain.push_back(Arrival{q->arrival, q->ingress_port});
+                      });
+                    },
+                    s.now() + kPipeline);
+        }
+      });
+      id += static_cast<uint32_t>(burst.packets);
+    }
+    s.RunAll();
+    chain_down = down.stats();
+  }
+
+  ASSERT_GT(via_chain.size(), 1000u);
+  EXPECT_GT(chain_down.lost_packets, 0u);
+  EXPECT_GT(chain_down.dropped_packets, 0u);
+  EXPECT_TRUE(via_network == via_chain);
+  EXPECT_EQ(network_down.sent_packets, chain_down.sent_packets);
+  EXPECT_EQ(network_down.lost_packets, chain_down.lost_packets);
+  EXPECT_EQ(network_down.dropped_packets, chain_down.dropped_packets);
+  EXPECT_EQ(network_down.delivered_bytes, chain_down.delivered_bytes);
+  EXPECT_EQ(network_up_delivered, chain_down.sent_packets);
+}
+
 }  // namespace
 }  // namespace scallop::sim
