@@ -3,11 +3,12 @@
 namespace scallop::bwe {
 
 uint64_t RateWindow::RateBps(util::TimeUs now) const {
-  while (!samples_.empty() && samples_.front().first < now - window_) {
-    window_sum_ -= samples_.front().second;
-    samples_.pop_front();
+  while (count_ > 0 && ring_[head_].t < now - window_) {
+    window_sum_ -= ring_[head_].bytes;
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --count_;
   }
-  if (samples_.empty()) return 0;
+  if (count_ == 0) return 0;
   size_t total = window_sum_;
   // Before the window has filled once, normalize by the elapsed time so the
   // rate is not underestimated at stream start (that would wrongly cap the
@@ -18,6 +19,15 @@ uint64_t RateWindow::RateBps(util::TimeUs now) const {
   }
   return static_cast<uint64_t>(static_cast<double>(total) * 8.0 /
                                util::ToSeconds(effective));
+}
+
+void RateWindow::Grow() {
+  std::vector<Sample> grown(ring_.empty() ? 64 : 2 * ring_.size());
+  for (size_t i = 0; i < count_; ++i) {
+    grown[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+  }
+  ring_ = std::move(grown);
+  head_ = 0;
 }
 
 ReceiverBandwidthEstimator::ReceiverBandwidthEstimator(

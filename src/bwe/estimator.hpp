@@ -5,8 +5,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "bwe/aimd.hpp"
 #include "bwe/inter_arrival.hpp"
@@ -15,7 +15,9 @@
 
 namespace scallop::bwe {
 
-// Sliding-window incoming bitrate.
+// Sliding-window incoming bitrate. Samples wait in a power-of-two ring in
+// arrival order (like sim::Link's flights); it grows when full and never
+// shrinks, so a steady stream adds and expires samples without allocating.
 class RateWindow {
  public:
   explicit RateWindow(util::DurationUs window = util::Millis(500))
@@ -23,16 +25,27 @@ class RateWindow {
 
   void Add(util::TimeUs t, size_t bytes) {
     if (first_add_ < 0) first_add_ = t;
-    samples_.emplace_back(t, bytes);
+    if (count_ == ring_.size()) Grow();
+    ring_[(head_ + count_++) & (ring_.size() - 1)] = Sample{t, bytes};
     window_sum_ += bytes;
   }
   uint64_t RateBps(util::TimeUs now) const;
 
  private:
+  struct Sample {
+    util::TimeUs t = 0;
+    size_t bytes = 0;
+  };
+  void Grow();
+
   util::DurationUs window_;
   util::TimeUs first_add_ = -1;
-  mutable std::deque<std::pair<util::TimeUs, size_t>> samples_;
-  // Running sum of samples_ bytes, so the per-packet rate query is O(1)
+  // ring_[head_] is the oldest of count_ samples; RateBps expires samples
+  // older than the window from the head.
+  mutable std::vector<Sample> ring_;
+  mutable size_t head_ = 0;
+  mutable size_t count_ = 0;
+  // Running sum of the ring's bytes, so the per-packet rate query is O(1)
   // instead of a window walk.
   mutable size_t window_sum_ = 0;
 };

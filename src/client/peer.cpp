@@ -85,7 +85,6 @@ void Peer::Leave() {
   // decoders: keeping them would misattribute in-flight or post-rejoin
   // packets on reused ports to dead legs.
   legs_.clear();
-  port_to_sender_.clear();
   port_to_leg_.clear();
   // Drop the retransmission history: a rejoin restarts the packetizer in
   // the same sequence space (deterministic per-peer seed), so serving
@@ -103,18 +102,18 @@ net::Endpoint Peer::AllocateLocalLeg(core::ParticipantId sender) {
   // silently keep the stale one and the new port mapping would dangle.
   auto stale = legs_.find(sender);
   if (stale != legs_.end()) {
-    port_to_sender_.erase(stale->second.local.port);
-    port_to_leg_.erase(stale->second.local.port);
+    port_to_leg_[LegIndex(stale->second.local.port)] = nullptr;
     legs_.erase(stale);
   }
   net::Endpoint local{cfg_.address, next_local_port_++};
   RemoteLeg leg;
   leg.sender = sender;
   leg.local = local;
-  port_to_sender_[local.port] = sender;
   auto [it, inserted] = legs_.emplace(sender, std::move(leg));
   (void)inserted;
-  port_to_leg_[local.port] = &it->second;
+  const size_t index = LegIndex(local.port);
+  if (index >= port_to_leg_.size()) port_to_leg_.resize(index + 1, nullptr);
+  port_to_leg_[index] = &it->second;
   return local;
 }
 
@@ -155,8 +154,7 @@ void Peer::OnRemoteLegReady(core::ParticipantId sender, uint32_t video_ssrc,
 void Peer::OnRemoteSenderLeft(core::ParticipantId sender) {
   auto it = legs_.find(sender);
   if (it == legs_.end()) return;
-  port_to_sender_.erase(it->second.local.port);
-  port_to_leg_.erase(it->second.local.port);
+  port_to_leg_[LegIndex(it->second.local.port)] = nullptr;
   legs_.erase(it);
 }
 
@@ -340,8 +338,8 @@ void Peer::Tick() {
 }
 
 Peer::RemoteLeg* Peer::LegByLocalPort(uint16_t port) {
-  auto it = port_to_leg_.find(port);
-  return it == port_to_leg_.end() ? nullptr : it->second;
+  const size_t index = LegIndex(port);
+  return index < port_to_leg_.size() ? port_to_leg_[index] : nullptr;
 }
 
 void Peer::OnPacket(net::PacketPtr pkt) {

@@ -9,7 +9,7 @@
 
 #include <map>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "bwe/estimator.hpp"
 #include "core/controller.hpp"
@@ -135,6 +135,9 @@ class Peer : public sim::Host, public core::SignalingClient {
   // the pooled buffer (media paths) instead of swapping in a fresh one.
   net::PacketPtr UplinkPacket() const;
   RemoteLeg* LegByLocalPort(uint16_t port);
+  size_t LegIndex(uint16_t port) const {
+    return static_cast<uint16_t>(port - cfg_.base_port - 1);
+  }
 
   sim::Scheduler& sched_;
   sim::Network& network_;
@@ -157,11 +160,11 @@ class Peer : public sim::Host, public core::SignalingClient {
   uint32_t audio_packet_count_ = 0;
   uint32_t audio_octet_count_ = 0;
 
-  std::map<core::ParticipantId, RemoteLeg> legs_;          // by sender
-  std::map<uint16_t, core::ParticipantId> port_to_sender_;
-  // Direct port -> leg index for the per-packet receive path (legs_ is
-  // node-based, so RemoteLeg addresses are stable).
-  std::unordered_map<uint16_t, RemoteLeg*> port_to_leg_;
+  std::map<core::ParticipantId, RemoteLeg> legs_;  // by sender
+  // Leg by local port for the per-packet receive path, indexed by
+  // LegIndex(port): local ports are minted sequentially from
+  // base_port + 1. legs_ is node-based, so RemoteLeg addresses are stable.
+  std::vector<RemoteLeg*> port_to_leg_;
 
   // Retransmission history: the wire bytes of the last
   // `retransmit_history` video packets sent, in send order. Slot i holds

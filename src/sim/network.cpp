@@ -48,13 +48,14 @@ const Link* Network::pair_link(net::Ipv4 from, net::Ipv4 to) const {
 
 void Network::SetRoute(net::Ipv4 src, net::Ipv4 dst,
                        std::vector<net::Ipv4> path) {
-  routes_[{src, dst}] =
-      std::make_shared<const std::vector<net::Ipv4>>(std::move(path));
+  routes_[{src, dst}] = static_cast<uint32_t>(paths_.size());
+  paths_.push_back(std::move(path));
 }
 
-void Network::SendAlongRoute(net::PacketPtr pkt, const Route& path,
-                             size_t hop, util::TimeUs depart_at) {
-  if (hop + 1 >= path->size()) {
+void Network::SendAlongRoute(net::PacketPtr pkt, uint32_t path, uint32_t hop,
+                             util::TimeUs depart_at) {
+  const std::vector<net::Ipv4>& hops = paths_[path];
+  if (hop + 1 >= hops.size()) {
     auto dst_it = hosts_.find(pkt->dst.addr);
     if (dst_it == hosts_.end()) {
       ++blackholed_;
@@ -63,7 +64,7 @@ void Network::SendAlongRoute(net::PacketPtr pkt, const Route& path,
     dst_it->second.host->OnPacket(std::move(pkt));
     return;
   }
-  Link* link = pair_link((*path)[hop], (*path)[hop + 1]);
+  Link* link = pair_link(hops[hop], hops[hop + 1]);
   if (link == nullptr) {
     ++blackholed_;  // route names a hop the backbone does not connect
     return;

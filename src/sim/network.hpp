@@ -11,6 +11,7 @@
 // is byte-identical to the plain star.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -75,9 +76,10 @@ class Network {
     std::unique_ptr<Link> down;
   };
   using PairKey = std::pair<net::Ipv4, net::Ipv4>;  // directed (from, to)
-  using Route = std::shared_ptr<const std::vector<net::Ipv4>>;
 
-  void SendAlongRoute(net::PacketPtr pkt, const Route& path, size_t hop,
+  // `path` indexes paths_; a hop's closure captures (this, path, hop), 16
+  // trivially copyable bytes, so it fits std::function's inline buffer.
+  void SendAlongRoute(net::PacketPtr pkt, uint32_t path, uint32_t hop,
                       util::TimeUs depart_at = -1);
 
   Scheduler& sched_;
@@ -85,7 +87,10 @@ class Network {
   uint64_t next_link_seed_ = 1;
   std::unordered_map<net::Ipv4, Attachment> hosts_;
   std::map<PairKey, std::unique_ptr<Link>> pair_links_;
-  std::map<PairKey, Route> routes_;
+  // Every path ever installed, append-only: a packet riding a replaced
+  // route still finds its path by index.
+  std::vector<std::vector<net::Ipv4>> paths_;
+  std::map<PairKey, uint32_t> routes_;  // (src, dst) -> index into paths_
   uint64_t blackholed_ = 0;
 };
 
