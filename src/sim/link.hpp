@@ -9,6 +9,12 @@
 // global (when, seq) order as one At event per packet would, while the
 // link itself adds no per-packet closure and, once the ring has grown, no
 // allocation.
+//
+// A packet's shape is fixed when Send accepts it: rate, delays, loss and
+// reordering are read then, even for a deferred `depart_at`. Network
+// relies on that to hand a packet to a receiver's downlink one pure-delay
+// uplink hop early (see network.hpp), so a runtime knob change applies to
+// packets handed to the link after it.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +64,7 @@ class Link : private Scheduler::EventSource {
   void Send(net::PacketPtr pkt, DeliverFn deliver,
             util::TimeUs depart_at = -1);
 
-  // Runtime knobs (take effect for subsequently sent packets).
+  // Runtime knobs (take effect for packets sent after the change).
   void set_rate_bps(double bps) { cfg_.rate_bps = bps; }
   void set_loss_rate(double p) { cfg_.loss_rate = p; }
   void set_reorder_rate(double p) { cfg_.reorder_rate = p; }
@@ -67,6 +73,22 @@ class Link : private Scheduler::EventSource {
 
   const LinkConfig& config() const { return cfg_; }
   const LinkStats& stats() const { return stats_; }
+
+  // True when the link only delays: no rate, jitter, loss or reordering.
+  // Such a link draws no random numbers and delivers every packet at
+  // departure + prop_delay, in send order.
+  bool pure_delay() const {
+    return cfg_.rate_bps <= 0.0 && cfg_.jitter_stddev <= 0 &&
+           cfg_.loss_rate <= 0.0 && cfg_.reorder_rate <= 0.0;
+  }
+  // Counts a packet as sent and delivered without carrying it: Network
+  // folds a pure-delay uplink into the next hop this way.
+  void CountCrossing(size_t wire_bytes) {
+    ++stats_.sent_packets;
+    ++stats_.delivered_packets;
+    stats_.sent_bytes += wire_bytes;
+    stats_.delivered_bytes += wire_bytes;
+  }
 
  private:
   struct Flight {

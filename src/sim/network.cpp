@@ -93,7 +93,20 @@ void Network::Send(net::PacketPtr pkt, util::TimeUs depart_at) {
     return;
   }
   pkt->sent_at = sent_at;
-  src_it->second.up->Send(
+  Link& up = *src_it->second.up;
+  if (up.pure_delay()) {
+    // Fold the uplink into the downlink: the packet reaches the core at
+    // sent_at + prop_delay, so it departs on the downlink then, without
+    // an event for the uplink hop.
+    auto dst_it = hosts_.find(pkt->dst.addr);
+    if (dst_it != hosts_.end() && !dst_it->second.down->pure_delay()) {
+      up.CountCrossing(pkt->wire_size());
+      SendDown(dst_it->second, std::move(pkt),
+               sent_at + up.config().prop_delay);
+      return;
+    }
+  }
+  up.Send(
       std::move(pkt),
       [this](net::PacketPtr p) {
         auto dst_it = hosts_.find(p->dst.addr);
@@ -101,12 +114,17 @@ void Network::Send(net::PacketPtr pkt, util::TimeUs depart_at) {
           ++blackholed_;
           return;
         }
-        Host* host = dst_it->second.host;
-        dst_it->second.down->Send(std::move(p), [host](net::PacketPtr q) {
-          host->OnPacket(std::move(q));
-        });
+        SendDown(dst_it->second, std::move(p));
       },
       depart_at);
+}
+
+void Network::SendDown(const Attachment& dst, net::PacketPtr pkt,
+                       util::TimeUs depart_at) {
+  Host* host = dst.host;
+  dst.down->Send(
+      std::move(pkt),
+      [host](net::PacketPtr p) { host->OnPacket(std::move(p)); }, depart_at);
 }
 
 Link* Network::uplink(net::Ipv4 addr) {

@@ -9,6 +9,25 @@
 // relay traffic between fleet switches crosses the declared backbone,
 // hop by hop, instead of the ideal star core. Without routes, behaviour
 // is byte-identical to the plain star.
+//
+// Folded uplinks. When the source's uplink is a pure delay (no rate,
+// jitter, loss or reordering — an SFU's datacenter link) and the
+// destination's downlink is not, Send skips the uplink's event: it counts
+// the packet in the uplink's stats and hands it straight to the downlink
+// with depart_at = sent_at + prop_delay, the time it would have reached
+// the core. One scheduler event per delivered copy instead of two.
+// Precondition for this to match the two-hop path exactly: the pure-delay
+// sources feeding one downlink share a propagation delay and depart in
+// call order (the switch departs every emit at now + pipeline latency,
+// the software SFU at now). Then the downlink sees the same Send
+// sequence, arithmetic and random draws; only the delivery's tie-break
+// sequence number is taken at hand-off instead of at core arrival.
+// Hand-off rule: a runtime change to a link applies to packets handed to
+// that link after the change. A folded packet is handed to the downlink
+// when the SFU sends it, so a downlink change made up to one uplink delay
+// (plus the switch's pipeline latency) later does not shape it.
+// A pure-delay destination downlink (SFU to SFU over the star) keeps the
+// two-hop path.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +58,10 @@ class Network {
   void Attach(net::Ipv4 addr, Host* host, const LinkConfig& uplink,
               const LinkConfig& downlink);
 
-  // Sends using the src host's uplink and dst host's downlink — unless a
-  // route is installed for (src, dst), in which case the packet traverses
-  // the route's pair links instead. Packets to unknown destinations (or
+  // Sends using the src host's uplink (folded when it is a pure delay, see
+  // above) and dst host's downlink — unless a route is installed for
+  // (src, dst), in which case the packet traverses the route's pair links
+  // instead. Packets to unknown destinations (or
   // hitting a route hop with no pair link) are counted and dropped (like
   // a routing blackhole). `depart_at` (if ahead of now) defers the first
   // hop's serialization start — see Link::Send.
@@ -77,6 +97,9 @@ class Network {
   };
   using PairKey = std::pair<net::Ipv4, net::Ipv4>;  // directed (from, to)
 
+  // Last hop of the star: dst's downlink, then dst itself.
+  void SendDown(const Attachment& dst, net::PacketPtr pkt,
+                util::TimeUs depart_at = -1);
   // `path` indexes paths_; a hop's closure captures (this, path, hop), 16
   // trivially copyable bytes, so it fits std::function's inline buffer.
   void SendAlongRoute(net::PacketPtr pkt, uint32_t path, uint32_t hop,

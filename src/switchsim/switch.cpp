@@ -30,7 +30,7 @@ void Switch::OnPacket(net::PacketPtr pkt) {
   if (meta.unicast) {
     auto copy = net::ClonePacket(*pkt);
     if (program_->Egress(*copy, meta, Replica{0, meta.unicast_port})) {
-      Emit(std::move(copy), cfg_.pipeline_latency);
+      Emit(std::move(copy));
     } else {
       ++stats_.packets_dropped;
     }
@@ -40,16 +40,14 @@ void Switch::OnPacket(net::PacketPtr pkt) {
   if (meta.mgid != 0) {
     pre_.ReplicateInto(meta.mgid, meta.l1_xid, meta.rid, meta.l2_xid,
                        replica_scratch_);
-    util::DurationUs delay = cfg_.pipeline_latency;
     bool any = false;
     for (const Replica& rep : replica_scratch_) {
       auto copy = net::ClonePacket(*pkt);
       if (program_->Egress(*copy, meta, rep)) {
         ++stats_.replicas;
-        Emit(std::move(copy), delay);
+        Emit(std::move(copy));
         any = true;
       }
-      delay += cfg_.per_replica_gap;
     }
     if (!any) ++stats_.packets_dropped;
     return;
@@ -60,18 +58,20 @@ void Switch::OnPacket(net::PacketPtr pkt) {
 }
 
 void Switch::InjectFromCpu(net::PacketPtr pkt) {
-  Emit(std::move(pkt), cfg_.pipeline_latency);
+  Emit(std::move(pkt));
 }
 
-void Switch::Emit(net::PacketPtr pkt, util::DurationUs extra_delay) {
+void Switch::Emit(net::PacketPtr pkt) {
   ++stats_.packets_out;
   stats_.bytes_out += pkt->wire_size();
   resources_.AccountEgress(pkt->wire_size());
   // The pipeline traversal delay is modeled as a deferred departure on the
   // first link hop instead of a scheduler event: emits reach the network
   // in pipeline order either way, and this keeps the fan-out burst free of
-  // per-replica event-queue traffic.
-  network_.Send(std::move(pkt), sched_.now() + extra_delay);
+  // per-replica event-queue traffic. Every emit departs at now + the same
+  // latency, so departures follow call order, which Network's fold of the
+  // pure-delay uplink relies on (see network.hpp).
+  network_.Send(std::move(pkt), sched_.now() + cfg_.pipeline_latency);
 }
 
 }  // namespace scallop::switchsim

@@ -59,9 +59,6 @@ struct SwitchConfig {
   net::Ipv4 address;
   // Fixed pipeline traversal latency (ingress + PRE + egress).
   util::DurationUs pipeline_latency = 2;
-  // Gap between successive replicas leaving the PRE (serialization of the
-  // replication engine itself).
-  util::DurationUs per_replica_gap = 0;  // sub-us; modeled as 0..1
 };
 
 struct SwitchStats {
@@ -101,7 +98,7 @@ class Switch : public sim::Host {
   net::Ipv4 address() const { return cfg_.address; }
 
  private:
-  void Emit(net::PacketPtr pkt, util::DurationUs extra_delay);
+  void Emit(net::PacketPtr pkt);
 
   sim::Scheduler& sched_;
   sim::Network& network_;

@@ -676,5 +676,60 @@ TEST(NetworkTest, PureDelayUplinkMatchesExplicitTwoLinkChain) {
   EXPECT_EQ(network_up_delivered, chain_down.sent_packets);
 }
 
+// A pure-delay uplink is folded into a shaped downlink: one scheduler
+// event per delivered packet, and the uplink still counts the crossing.
+// A pure-delay downlink keeps the two-hop path.
+TEST(NetworkTest, PureDelayUplinkCostsNoEvent) {
+  Scheduler s;
+  Network net(s, 99);
+  Sink a, b;
+  const LinkConfig sfu_link{.rate_bps = 0, .prop_delay = util::Millis(1)};
+  net.Attach(Ipv4(10, 0, 0, 1), &a, sfu_link, sfu_link);
+  net.Attach(Ipv4(10, 0, 0, 2), &b, {},
+             LinkConfig{.rate_bps = 1e6, .prop_delay = util::Millis(5)});
+  net.Send(MakeTestPacket(1000), util::TimeUs{2});
+  EXPECT_EQ(s.RunAll(), 1u);
+  ASSERT_EQ(b.received.size(), 1u);
+  EXPECT_EQ(b.received[0]->sent_at, 2);
+  EXPECT_EQ(b.received[0]->arrival, 2 + util::Millis(1) + 8224 +
+                                        util::Millis(5));
+  const Link* up = net.uplink(Ipv4(10, 0, 0, 1));
+  EXPECT_EQ(up->stats().sent_packets, 1u);
+  EXPECT_EQ(up->stats().delivered_packets, 1u);
+  EXPECT_EQ(up->stats().delivered_bytes, 1028u);
+
+  // Back to the SFU over its own pure-delay downlink: two events.
+  net.Send(net::MakePacket(Endpoint{Ipv4(10, 0, 0, 2), 2000},
+                           Endpoint{Ipv4(10, 0, 0, 1), 1000},
+                           std::vector<uint8_t>(100, 0)));
+  EXPECT_EQ(s.RunAll(), 2u);
+  EXPECT_EQ(a.received.size(), 1u);
+}
+
+// Hand-off rule: a link change applies to packets handed to the link after
+// it. A packet from a pure-delay uplink is handed to the receiver's
+// downlink when it is sent, so a downlink rate cut made while the packet
+// is still within the uplink's delay does not apply to it; a packet sent
+// after the cut gets the new rate.
+TEST(NetworkTest, DownlinkChangeAppliesToPacketsHandedOverAfterIt) {
+  Scheduler s;
+  Network net(s, 99);
+  Sink a, b;
+  net.Attach(Ipv4(10, 0, 0, 1), &a,
+             LinkConfig{.rate_bps = 0, .prop_delay = util::Millis(1)}, {});
+  net.Attach(Ipv4(10, 0, 0, 2), &b, {}, LinkConfig{.rate_bps = 1e6});
+  net.Send(MakeTestPacket(1000));
+  s.At(util::Millis(0.5), [&] {
+    net.downlink(Ipv4(10, 0, 0, 2))->set_rate_bps(0.5e6);
+    net.Send(MakeTestPacket(1000));
+  });
+  s.RunAll();
+  ASSERT_EQ(b.received.size(), 2u);
+  // Old rate: 1028 bytes at 1 Mb/s take 8224 us from the 1 ms core arrival.
+  EXPECT_EQ(b.received[0]->arrival, util::Millis(1) + 8224);
+  // New rate, queued behind the first packet: 16448 us more.
+  EXPECT_EQ(b.received[1]->arrival, util::Millis(1) + 8224 + 16448);
+}
+
 }  // namespace
 }  // namespace scallop::sim
