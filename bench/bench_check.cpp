@@ -7,9 +7,14 @@
 //
 //   bench_check <baseline_dir> <fresh_dir> [max_drop_fraction]
 //
-// Every baseline report must have a fresh counterpart, and every gated
+// Outside the scheduler area, a metric's ratio is scaled by the host-speed
+// canary (baseline / fresh raw_events_per_sec, see perf_report.hpp) before
+// it is gated, so a slower host neither fails nor lowers the bar. Both
+// the raw and the normalised ratio are printed.
+//
+// Every baseline report must have a fresh counterpart, every gated
 // baseline metric must exist in the fresh report — a silently vanished
-// bench leg is itself a regression.
+// bench leg is itself a regression — and both sides must carry a canary.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +27,7 @@
 #include "perf_report.hpp"
 
 namespace fs = std::filesystem;
+using scallop::bench::GateRatio;
 using scallop::bench::PerfReport;
 
 namespace {
@@ -68,6 +74,29 @@ int main(int argc, char** argv) {
   // rows for the FAIL lines.
   std::vector<std::string> failures;
   char line[256];
+
+  // Without both canaries nothing can be normalised: that fails the gate,
+  // and the raw ratios are still printed and gated.
+  auto canary_in = [](const fs::path& dir) -> std::optional<double> {
+    auto report = Load(dir / (std::string("BENCH_") +
+                              scallop::bench::kCanaryArea + ".json"));
+    return report ? scallop::bench::CanaryOf(*report) : std::nullopt;
+  };
+  const std::optional<double> base_canary = canary_in(baseline_dir);
+  const std::optional<double> fresh_canary = canary_in(fresh_dir);
+  if (base_canary && fresh_canary) {
+    std::printf("canary %s %s: fresh %.4g vs baseline %.4g (%.2fx host)\n",
+                scallop::bench::kCanaryArea, scallop::bench::kCanaryMetric,
+                *fresh_canary, *base_canary, *fresh_canary / *base_canary);
+  } else {
+    std::snprintf(line, sizeof(line), "canary %s %s missing from %s",
+                  scallop::bench::kCanaryArea, scallop::bench::kCanaryMetric,
+                  base_canary ? "fresh" : "baseline");
+    std::printf("FAIL %s\n", line);
+    failures.emplace_back(line);
+  }
+  const double base_scale = base_canary.value_or(1.0);
+  const double fresh_scale = fresh_canary.value_or(1.0);
   for (const auto& base_path : baselines) {
     auto baseline = Load(base_path);
     if (!baseline) {
@@ -103,23 +132,26 @@ int main(int argc, char** argv) {
         failures.emplace_back(line);
         continue;
       }
-      double ratio = m.value > 0.0 ? f->value / m.value : 1.0;
-      bool pass = ratio >= 1.0 - max_drop;
-      std::printf("%s %-12s %-28s %12.4g vs %12.4g  (%.2fx)\n",
+      const GateRatio ratio = scallop::bench::RatioAgainstBaseline(
+          baseline->area(), m.value, f->value, base_scale, fresh_scale);
+      const bool pass = ratio.Passes(max_drop);
+      std::printf("%s %-12s %-28s %12.4g vs %12.4g  (raw %.2fx, norm %.2fx)\n",
                   pass ? "ok  " : "FAIL", baseline->area().c_str(),
-                  m.name.c_str(), f->value, m.value, ratio);
+                  m.name.c_str(), f->value, m.value, ratio.raw,
+                  ratio.normalised);
       if (!pass) {
         std::snprintf(line, sizeof(line),
-                      "%-12s %-28s baseline %.4g fresh %.4g ratio %.2fx",
+                      "%-12s %-28s baseline %.4g fresh %.4g raw %.2fx "
+                      "norm %.2fx",
                       baseline->area().c_str(), m.name.c_str(), m.value,
-                      f->value, ratio);
+                      f->value, ratio.raw, ratio.normalised);
         failures.emplace_back(line);
       }
     }
   }
 
   if (!failures.empty()) {
-    std::printf("bench_check: %zu gated metric(s) beyond the %.0f%% drop "
+    std::printf("bench_check: %zu failure(s) against the %.0f%% drop "
                 "threshold:\n",
                 failures.size(), max_drop * 100.0);
     for (const auto& f : failures) std::printf("  FAIL %s\n", f.c_str());

@@ -60,6 +60,23 @@ const PerfMetric* PerfReport::FindMetric(const std::string& name) const {
   return nullptr;
 }
 
+std::optional<double> CanaryOf(const PerfReport& report) {
+  if (report.area() != kCanaryArea) return std::nullopt;
+  const PerfMetric* m = report.FindMetric(kCanaryMetric);
+  if (m == nullptr || !(m->value > 0.0)) return std::nullopt;
+  return m->value;
+}
+
+GateRatio RatioAgainstBaseline(const std::string& area, double baseline,
+                               double fresh, double baseline_canary,
+                               double fresh_canary) {
+  GateRatio r;
+  r.raw = baseline > 0.0 ? fresh / baseline : 1.0;
+  r.normalised =
+      area == kCanaryArea ? r.raw : r.raw * baseline_canary / fresh_canary;
+  return r;
+}
+
 std::string PerfReport::ToJson() const {
   std::ostringstream out;
   out << "{\n";

@@ -22,7 +22,8 @@
 // binary (pinned by tests/test_perf_report.cpp); values are wall-clock
 // throughputs and vary run to run. `higher_is_better` metrics are gated
 // by bench_check against the committed baselines in bench/baselines/
-// (fail on a >40% drop); informational metrics set it to false.
+// (fail on a >40% drop, after the canary scaling below); informational
+// metrics set it to false.
 #pragma once
 
 #include <algorithm>
@@ -72,6 +73,28 @@ class PerfReport {
   std::vector<PerfMetric> metrics_;
   std::vector<PerfParam> params_;
 };
+
+// Host-speed canary: the scheduler bench's plain schedule-and-dispatch
+// rate. bench_check scales each gated metric outside the canary's area by
+// baseline canary / fresh canary, so a host running at half the pinned
+// speed is held to half the pinned rate. The canary's own area stays raw:
+// the canary cannot normalise itself.
+inline constexpr char kCanaryArea[] = "scheduler";
+inline constexpr char kCanaryMetric[] = "raw_events_per_sec";
+
+// The canary carried by `report`: nullopt unless `report` is the canary's
+// area and has a positive canary metric.
+std::optional<double> CanaryOf(const PerfReport& report);
+
+// One gated metric's standing against its baseline.
+struct GateRatio {
+  double raw = 1.0;         // fresh / baseline
+  double normalised = 1.0;  // raw scaled by the canaries (raw in their area)
+  bool Passes(double max_drop) const { return normalised >= 1.0 - max_drop; }
+};
+GateRatio RatioAgainstBaseline(const std::string& area, double baseline,
+                               double fresh, double baseline_canary,
+                               double fresh_canary);
 
 // Monotonic wall-clock stopwatch for throughput metrics.
 class WallTimer {

@@ -1,5 +1,5 @@
 // Pins the machine-readable bench contract (BENCH_<area>.json schema,
-// round-trip, env-var routing) and the scheduler guarantees the perf
+// round-trip, env-var routing), the gate's canary scaling, and the scheduler guarantees the perf
 // campaign leans on: pending() stays exact under cancel-heavy churn, and
 // EventSource events stay observationally identical to At events — same
 // FIFO order among equal times, interleaved with At events by the shared
@@ -81,6 +81,59 @@ TEST(PerfReport, WriteJsonHonorsBenchDirEnv) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->area(), "unit_test_area");
   std::remove(path.c_str());
+}
+
+// ---- bench_check's canary-normalised ratio ---------------------------------
+
+TEST(PerfGate, CanaryScalesMetricsOutsideTheSchedulerArea) {
+  // A host at half the pinned speed: the canary and the metric both read
+  // half the baseline. Raw, that is a 0.5x drop; normalised it is level.
+  const bench::GateRatio half_host = bench::RatioAgainstBaseline(
+      "backends", /*baseline=*/20.0, /*fresh=*/10.0,
+      /*baseline_canary=*/4e6, /*fresh_canary=*/2e6);
+  EXPECT_DOUBLE_EQ(half_host.raw, 0.5);
+  EXPECT_DOUBLE_EQ(half_host.normalised, 1.0);
+  EXPECT_TRUE(half_host.Passes(0.40));
+
+  // The same canary on both sides and half the rate: a real regression.
+  const bench::GateRatio regression =
+      bench::RatioAgainstBaseline("backends", 20.0, 10.0, 4e6, 4e6);
+  EXPECT_DOUBLE_EQ(regression.normalised, 0.5);
+  EXPECT_FALSE(regression.Passes(0.40));
+
+  // A faster host raises the bar: level raw rates on a 2x canary fail.
+  EXPECT_FALSE(
+      bench::RatioAgainstBaseline("fleet_scale", 2.0, 2.0, 2e6, 4e6)
+          .Passes(0.40));
+}
+
+TEST(PerfGate, SchedulerAreaStaysRaw) {
+  // The canary cannot normalise itself: the scheduler's own metrics,
+  // the canary included, are gated on their raw ratio.
+  const bench::GateRatio canary =
+      bench::RatioAgainstBaseline("scheduler", 4e6, 2e6, 4e6, 2e6);
+  EXPECT_DOUBLE_EQ(canary.raw, 0.5);
+  EXPECT_DOUBLE_EQ(canary.normalised, 0.5);
+  EXPECT_FALSE(canary.Passes(0.40));
+  EXPECT_TRUE(bench::RatioAgainstBaseline("scheduler", 4e6, 3e6, 4e6, 3e6)
+                  .Passes(0.40));
+}
+
+TEST(PerfGate, CanaryComesOnlyFromTheSchedulerReport) {
+  bench::PerfReport sched("scheduler");
+  sched.AddMetric("events_per_sec", 5e6, "events/s");
+  EXPECT_FALSE(bench::CanaryOf(sched).has_value());  // missing
+  sched.AddMetric("raw_events_per_sec", 3.5e6, "events/s");
+  ASSERT_TRUE(bench::CanaryOf(sched).has_value());
+  EXPECT_DOUBLE_EQ(*bench::CanaryOf(sched), 3.5e6);
+
+  bench::PerfReport other("backends");
+  other.AddMetric("raw_events_per_sec", 3.5e6, "events/s");
+  EXPECT_FALSE(bench::CanaryOf(other).has_value());
+
+  bench::PerfReport zero("scheduler");
+  zero.AddMetric("raw_events_per_sec", 0.0, "events/s");
+  EXPECT_FALSE(bench::CanaryOf(zero).has_value());
 }
 
 // ---- scheduler invariants the fast paths must uphold -----------------------
