@@ -61,10 +61,10 @@ class Network {
   // Sends using the src host's uplink (folded when it is a pure delay, see
   // above) and dst host's downlink — unless a route is installed for
   // (src, dst), in which case the packet traverses the route's pair links
-  // instead. Packets to unknown destinations (or
-  // hitting a route hop with no pair link) are counted and dropped (like
-  // a routing blackhole). `depart_at` (if ahead of now) defers the first
-  // hop's serialization start — see Link::Send.
+  // instead. Packets to unknown destinations (or hitting a route hop with
+  // no pair link) are counted and dropped (like a routing blackhole).
+  // `depart_at` (if ahead of now) defers the first hop's serialization
+  // start — see Link::Send.
   void Send(net::PacketPtr pkt, util::TimeUs depart_at = -1);
 
   // ---- backbone modeling --------------------------------------------------

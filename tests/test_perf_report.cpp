@@ -1,9 +1,9 @@
 // Pins the machine-readable bench contract (BENCH_<area>.json schema,
-// round-trip, env-var routing), the gate's canary scaling, and the scheduler guarantees the perf
-// campaign leans on: pending() stays exact under cancel-heavy churn, and
-// EventSource events stay observationally identical to At events — same
-// FIFO order among equal times, interleaved with At events by the shared
-// sequence counter.
+// round-trip, env-var routing), the gate's canary scaling, and the
+// scheduler guarantees the perf campaign leans on: pending() stays exact
+// under cancel-heavy churn, and EventSource events stay observationally
+// identical to At events — same FIFO order among equal times, interleaved
+// with At events by the shared sequence counter.
 #include <gtest/gtest.h>
 
 #include <cstdio>
